@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import fftconvolve, hilbert
@@ -167,6 +168,14 @@ class PulseWaveform:
     def times(self) -> np.ndarray:
         return self.dt_s * np.arange(self.samples.size)
 
+    @cached_property
+    def _analytic(self) -> np.ndarray:
+        """Analytic signal of the samples, built once per waveform and shared
+        by every :func:`distort` of it (a tap ladder and its direct tap)."""
+        z = hilbert(self.samples)
+        z.setflags(write=False)
+        return z
+
 
 def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
     """Superpose delayed, scaled copies of the pulse per the tap ladder.
@@ -188,12 +197,10 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
 
     n_out = x.size + max_shift
     y = np.zeros(n_out)
-    need_analytic = any(abs(eps) > 1e-18 for _, eps, _ in shifts)
-    z = hilbert(x) if need_analytic else None
     for m, eps, amp in shifts:
         if abs(eps) > 1e-18:
             rot = np.exp(-2j * math.pi * pulse.carrier_hz * eps)
-            y[m : m + x.size] += amp * np.real(z * rot)
+            y[m : m + x.size] += amp * np.real(pulse._analytic * rot)
         else:
             y[m : m + x.size] += amp * x
     return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz, pulse.phase_rad)

@@ -132,6 +132,17 @@ def test_distort_subsample_delay_phase():
     np.testing.assert_allclose(out.samples[mid], direct[mid], atol=2e-3 * np.max(np.abs(p.samples)))
 
 
+def test_distort_shares_analytic_signal_bitwise():
+    # the direct tap and the full ladder of one pulse reuse its analytic signal
+    m = MismatchModel(12.0, 12.0, 0.3)
+    p = carrier_pulse()
+    taps = impulse_response_taps(m)
+    distort(p, ImpulseResponse(taps=taps.taps[:1], normalized=True))
+    shared = distort(p, taps).samples
+    fresh = distort(PulseWaveform(p.dt_s, p.samples, p.carrier_hz), taps).samples
+    np.testing.assert_array_equal(shared, fresh)
+
+
 def test_distort_with_response_matches_taps():
     m = MismatchModel(12.0, 12.0, 0.3)
     p = carrier_pulse(n=8001)

@@ -24,6 +24,8 @@ from cryocal import (
     sweep_return_loss,
     synth_gate_pulse,
 )
+from cryocal import distortion, qubitsim
+from cryocal.distortion import distort, impulse_response_taps
 from cryocal.qubitsim import GROUND
 
 PARAMS = QubitParams()
@@ -32,6 +34,58 @@ EXCITED = QubitState(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
 
 def pop_e(state):
     return abs(state.amplitudes[1]) ** 2
+
+
+def _rk4_oracle(state, waveform, params):
+    """Reference propagator: one scalar RK4 step per Python loop iteration."""
+    m = int(round(params.dt_s / waveform.dt_s))
+    x = waveform.samples
+    n_steps = (x.size - 1) // m
+    w = params.omega_q
+    ds = waveform.dt_s
+
+    # drive in the interaction picture: u_j = x_j * exp(i w t_j)
+    t = ds * np.arange(n_steps * m + 1)
+    u = (x[: t.size] * np.exp(1j * w * t)).tolist()
+
+    g, e = complex(state.amplitudes[0]), complex(state.amplitudes[1])
+    h = params.dt_s
+    half = 0.5 * h
+    sixth = h / 6.0
+    for n in range(n_steps):
+        j0 = n * m
+        j1 = j0 + m
+        u0 = u[j0]
+        u1 = u[j1]
+        um = 0.5 * (u0 + u1) if m == 1 else u[j0 + m // 2]
+
+        c0 = u0.conjugate()
+        cm = um.conjugate()
+        c1 = u1.conjugate()
+
+        k1g = -1j * (c0 * e)
+        k1e = -1j * (u0 * g)
+        g2 = g + half * k1g
+        e2 = e + half * k1e
+        k2g = -1j * (cm * e2)
+        k2e = -1j * (um * g2)
+        g3 = g + half * k2g
+        e3 = e + half * k2e
+        k3g = -1j * (cm * e3)
+        k3e = -1j * (um * g3)
+        g4 = g + h * k3g
+        e4 = e + h * k3e
+        k4g = -1j * (c1 * e4)
+        k4e = -1j * (u1 * g4)
+
+        g = g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        e = e + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+
+    norm = math.sqrt(abs(g) ** 2 + abs(e) ** 2)
+    if abs(norm - 1.0) > 1e-6:
+        raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
+    e_lab = e * cmath.exp(-1j * w * n_steps * h)
+    return QubitState(np.array([g, e_lab]) / norm) if abs(norm - 1.0) > 1e-12 else QubitState(np.array([g, e_lab]))
 
 
 # ------------------------------------------------------------ gates, states
@@ -84,6 +138,65 @@ def test_norm_conservation_60ns():
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
+def _beating_drive(n_steps, m=2):
+    # resonant carrier under a 7 ns beat; one spare trailing sample, which
+    # evolve ignores because it starts no full step
+    t = PARAMS.dt_s / m * np.arange(n_steps * m + 2)
+    x = 1e9 * np.cos(PARAMS.omega_q * t + 0.3) * np.cos(2 * math.pi * t / 7e-9)
+    return PulseWaveform(PARAMS.dt_s / m, x, PARAMS.f_q)
+
+
+def _xy_60ns_through_taps():
+    gates = [GateOp("X"), GateOp("Y")]
+    x = qubitsim._sequence_samples(gates, 60e-9, {"X": 1e8, "Y": 1e8}, PARAMS)
+    wf = PulseWaveform(PARAMS.dt_s / 2, x, PARAMS.f_q)
+    return distort(wf, impulse_response_taps(MismatchModel(15.0, 15.0, 0.276)))
+
+
+@pytest.fixture(scope="module")
+def x_pulse():
+    return synth_gate_pulse(GateOp("X"), 5e-9, PARAMS)
+
+
+def assert_matches_oracle(state, wf):
+    got = evolve(state, wf, PARAMS).amplitudes
+    want = _rk4_oracle(state, wf, PARAMS).amplitudes
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_evolve_matches_rk4_oracle_x_pulse(x_pulse):
+    assert_matches_oracle(GROUND, x_pulse)
+
+
+def test_evolve_matches_rk4_oracle_free_evolution():
+    assert_matches_oracle(EXCITED, PulseWaveform(PARAMS.dt_s / 2, np.zeros(2001), PARAMS.f_q))
+
+
+def test_evolve_matches_rk4_oracle_at_step_interval(x_pulse):
+    # samples at dt itself: the midpoint drive is the neighbour average
+    assert_matches_oracle(GROUND, PulseWaveform(PARAMS.dt_s, x_pulse.samples[::2], PARAMS.f_q))
+
+
+def test_evolve_matches_rk4_oracle_xy_60ns_through_taps():
+    assert_matches_oracle(GROUND, _xy_60ns_through_taps())
+
+
+@pytest.mark.parametrize(
+    "n_steps", [0, 1, qubitsim._CHUNK - 1, qubitsim._CHUNK, qubitsim._CHUNK + 1]
+)
+def test_evolve_matches_rk4_oracle_at_chunk_edges(n_steps):
+    # odd lengths leave an unpaired step at some tree levels; chunk + 1 folds two chunks
+    assert_matches_oracle(QubitState(np.array([1.0, 1.0j]) / math.sqrt(2)), _beating_drive(n_steps))
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_odd_subdivision_rejected(m):
+    # an odd subdivision has no sample at the RK4 midpoint t + dt/2
+    wf = PulseWaveform(PARAMS.dt_s / m, np.zeros(10 * m + 1), PARAMS.f_q)
+    with pytest.raises(SimulationError, match="odd subdivision"):
+        evolve(GROUND, wf, PARAMS)
+
+
 # ------------------------------------------------------------- calibration
 
 
@@ -91,6 +204,14 @@ def test_half_pi_calibration_contract():
     wf = synth_gate_pulse(GateOp("X90"), 5e-9, PARAMS)
     out = evolve(GROUND, wf, PARAMS)
     assert pop_e(out) == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["X", "X90"])
+def test_calibration_matches_oracle_driven_calibration(kind, monkeypatch):
+    fast = calibrate_amplitude(GateOp(kind), 5e-9, PARAMS)
+    monkeypatch.setattr(qubitsim, "evolve", _rk4_oracle)
+    slow = calibrate_amplitude(GateOp(kind), 5e-9, PARAMS)
+    assert fast == pytest.approx(slow, rel=1e-7)
 
 
 @pytest.mark.xfail(
@@ -139,6 +260,23 @@ def test_zero_distortion_identity():
     devs = run_allxy(None, 5e-9, PARAMS, pairs=DEFAULT_PAIRS)
     assert len(devs) == 25
     assert all(d < 1e-12 for d in devs)
+
+
+def test_zero_distortion_simulates_nothing(monkeypatch):
+    def no_evolve(*args):
+        raise AssertionError("evolve called without a distortion model")
+
+    monkeypatch.setattr(qubitsim, "evolve", no_evolve)
+    assert run_allxy(None, 5e-9, PARAMS, pairs=DEFAULT_PAIRS) == [0.0] * 25
+
+
+def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
+    calls = []
+    hilbert = distortion.hilbert
+    monkeypatch.setattr(distortion, "hilbert", lambda x: calls.append(x.size) or hilbert(x))
+    pairs = (("X", "Y"), ("Y", "X"))
+    run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, amplitudes={"X": 1e9, "Y": 1e9})
+    assert len(calls) == len(pairs)
 
 
 def test_infinite_return_loss_limit():
