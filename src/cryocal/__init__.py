@@ -7,7 +7,7 @@ pulse distortion -> two-level-system gate-fidelity sweeps.
 
 __version__ = "0.1.0"
 
-from .traces import ComplexTrace, FrequencyGrid, GridError, TwoPortTrace, resample_check
+from .traces import ComplexTrace, FrequencyGrid, GridError, TwoPortTrace
 from .touchstone import (
     TouchstoneParseError,
     parse_touchstone,

@@ -43,6 +43,7 @@ from .uncertainty import (
 )
 from .distortion import DistortionError, MismatchModel, impulse_response_taps, distort
 from .qubitsim import (
+    ALLXY_GATES,
     GateOp,
     QubitParams,
     SimulationError,
@@ -337,11 +338,25 @@ def _mismatch_model(cfg: dict) -> MismatchModel:
 
 def _axis(cfg: dict) -> np.ndarray:
     block = _require(cfg, "axis")
+    count = _require(block, "count", "axis block")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(f"axis.count must be an integer >= 1, got {count!r}")
     return np.linspace(
         float(_require(block, "start", "axis block")),
         float(_require(block, "stop", "axis block")),
-        int(_require(block, "count", "axis block")),
+        count,
     )
+
+
+def _pairs(cfg: dict) -> tuple[tuple[str, ...], ...]:
+    pairs = cfg.get("pairs", [["X", "Y"]])
+    if not isinstance(pairs, list) or not pairs or not all(
+        isinstance(p, list) and p and all(k in ALLXY_GATES for k in p) for p in pairs
+    ):
+        raise ConfigError(
+            f"pairs must be a non-empty list of lists of gate names {list(ALLXY_GATES)}, got {pairs!r}"
+        )
+    return tuple(tuple(p) for p in pairs)
 
 
 def _crossing(axis: np.ndarray, dev: np.ndarray, threshold: float) -> float | None:
@@ -363,7 +378,7 @@ def cmd_fidelity(args) -> int:
     model = _mismatch_model(cfg)
     axis = _axis(cfg)
     duration_s = float(cfg.get("duration_ns", 5.0)) * 1e-9
-    pairs = tuple(tuple(p) for p in cfg.get("pairs", [["X", "Y"]]))
+    pairs = _pairs(cfg)
     method = cfg.get("method", "taps")
 
     if args.mode == "sweep-length":

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve, hilbert
 
 from .timegate import TimeTrace
 
@@ -134,6 +133,22 @@ def impulse_response_fourier(
     return TimeTrace(dt_s=1.0 / (2.0 * f_max_hz), t0_s=0.0, values=h)
 
 
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """x + i H[x] from the one-sided spectrum at the input's own length, as in
+    Marple (IEEE Trans. Signal Process. 47(9), 1999); padding would change it."""
+    n = x.size
+    spec = np.zeros(n, dtype=complex)
+    spec[: n // 2 + 1] = np.fft.rfft(x)
+    spec[1 : (n + 1) // 2] *= 2.0  # dc and the even-n Nyquist bin keep unit weight
+    return np.fft.ifft(spec)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles quickly."""
+    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)  # least p * 2^a >= n
+
+
 @dataclass(frozen=True)
 class PulseWaveform:
     """Sampled real drive waveform with its carrier bookkeeping."""
@@ -172,7 +187,7 @@ class PulseWaveform:
     def _analytic(self) -> np.ndarray:
         """Analytic signal of the samples, built once per waveform and shared
         by every :func:`distort` of it (a tap ladder and its direct tap)."""
-        z = hilbert(self.samples)
+        z = _analytic_signal(self.samples)
         z.setflags(write=False)
         return z
 
@@ -217,5 +232,7 @@ def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
-    y = fftconvolve(pulse.samples, np.real(h.values))
+    n = pulse.samples.size + h.values.size - 1
+    size = _fast_len(n)
+    y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]
     return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz, pulse.phase_rad)

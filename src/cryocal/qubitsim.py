@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, distort
 from .distortion import distort_with_response, impulse_response_fourier, impulse_response_taps
@@ -249,19 +248,15 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     return QubitState(np.array([g, e_lab]) / norm) if abs(norm - 1.0) > 1e-12 else QubitState(np.array([g, e_lab]))
 
 
-def _excited_population(amp: float, gate: GateOp, duration_s: float, params: QubitParams) -> float:
-    pulse = synth_gate_pulse(gate, duration_s, params, amplitude=amp)
-    final = evolve(GROUND, pulse, params)
-    return abs(final.amplitudes[1]) ** 2
-
-
 def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) -> float:
     """Envelope scale that realizes the gate's target rotation from |0>.
 
-    Deterministic scalar search on the ideal (undistorted) simulation: the
-    pi/2 amplitude comes from a bracketed root-find on the excited-state
-    population, the pi amplitude from a bounded minimization of the
-    residual ground-state population.
+    Newton iteration on the ideal (undistorted) simulation from the
+    rotating-wave estimate; the drive is linear in the scale, so one unit
+    pulse is scaled for every probe. The residual is P_e - sin^2(theta/2)
+    for pi/2 and the ground amplitude g for pi, where Gauss-Newton minimizes
+    |g|^2 = 1 - P_e. The slope comes from probes at a +- h with a fixed h:
+    a shrinking secant step loses it in the propagator's rounding noise.
     """
     if gate.kind == "I":
         raise SimulationError("identity gate needs no amplitude calibration")
@@ -273,26 +268,26 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     unit_area = float(np.trapezoid(_truncated_gaussian_envelope(t, duration_s), dx=ds))
     est = theta / unit_area
 
-    if theta < math.pi - 1e-12:
-        target = math.sin(theta / 2.0) ** 2
-        f = lambda a: _excited_population(a, gate, duration_s, params) - target
-        lo, hi = 0.2 * est, 1.6 * est
-        if f(lo) > 0 or f(hi) < 0:
-            raise SimulationError("calibration bracket does not contain the target rotation")
-        return float(brentq(f, lo, hi, xtol=est * 1e-12, rtol=1e-15))
+    unit = synth_gate_pulse(gate, duration_s, params, amplitude=1.0)
+    is_pi = theta > math.pi - 1e-12
+    target = math.sin(theta / 2.0) ** 2
 
-    res = minimize_scalar(
-        lambda a: 1.0 - _excited_population(a, gate, duration_s, params),
-        bounds=(0.5 * est, 1.5 * est),
-        method="bounded",
-        options={"xatol": est * 1e-12},
-    )
-    if not res.success:
-        raise SimulationError(f"pi-pulse calibration failed: {res.message}")
-    a = float(res.x)
-    if a <= 0.5 * est * 1.001 or a >= 1.5 * est * 0.999:
-        raise SimulationError("pi-pulse calibration hit the search bounds")
-    return a
+    def residual(a):
+        g, e = evolve(GROUND, replace(unit, samples=a * unit.samples), params).amplitudes
+        return g if is_pi else abs(e) ** 2 - target
+
+    lo, hi = (0.5 * est, 1.5 * est) if is_pi else (0.2 * est, 1.6 * est)
+    a, h = est, 1e-5 * est
+    for _ in range(20):
+        r_hi, r_lo = residual(a + h), residual(a - h)
+        jac, mean = (r_hi - r_lo) / (2.0 * h), 0.5 * (r_hi + r_lo)
+        step = (jac.conjugate() * mean).real / abs(jac) ** 2
+        a -= step
+        if not lo < a < hi:
+            raise SimulationError("calibration left the bracket around the target rotation")
+        if abs(step) <= 1e-12 * est:
+            return float(a)
+    raise SimulationError("calibration did not converge in 20 Newton steps")
 
 
 def calibrated_amplitudes(kinds, duration_s: float, params: QubitParams) -> dict[str, float]:
@@ -303,7 +298,7 @@ def calibrated_amplitudes(kinds, duration_s: float, params: QubitParams) -> dict
         if kind == "I":
             amps[kind] = 0.0
             continue
-        angle = _GATE_TABLE[kind][0]
+        angle = GateOp(kind).angle_rad
         if angle not in by_angle:
             probe = GateOp("X" if angle == math.pi else "X90")
             by_angle[angle] = calibrate_amplitude(probe, duration_s, params)

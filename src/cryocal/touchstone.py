@@ -182,5 +182,11 @@ def write_csv(trace: ComplexTrace) -> str:
 
 
 def read_touchstone_file(path, expected_ports: int) -> ComplexTrace | TwoPortTrace:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_touchstone(fh.read(), expected_ports)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TouchstoneParseError(line_no, f"non-ASCII byte 0x{data[exc.start]:02x} in {path}") from None
+    return parse_touchstone(text, expected_ports)

@@ -78,23 +78,19 @@ class FrequencyGrid:
         return cls(start_hz=float(f[0]), step_hz=float(step), count=int(f.size)), uniform
 
 
-def resample_check(a: FrequencyGrid, b: FrequencyGrid) -> bool:
-    """True iff the two grids are identical (same start, step, count).
+def require_same_grid(a: FrequencyGrid, b: FrequencyGrid, what: str = "traces"):
+    """Raise GridError unless the two grids are identical (same start, step, count).
 
     Downstream operations require identical grids; there is deliberately no
     interpolation path anywhere in the package.
     """
-    if a.count != b.count:
-        return False
     rel = 1e-12
-    return (
-        abs(a.start_hz - b.start_hz) <= rel * max(a.start_hz, b.start_hz)
+    same = (
+        a.count == b.count
+        and abs(a.start_hz - b.start_hz) <= rel * max(a.start_hz, b.start_hz)
         and abs(a.step_hz - b.step_hz) <= rel * max(a.step_hz, b.step_hz)
     )
-
-
-def require_same_grid(a: FrequencyGrid, b: FrequencyGrid, what: str = "traces"):
-    if not resample_check(a, b):
+    if not same:
         raise GridError(
             f"grid mismatch between {what}: "
             f"({a.start_hz}, {a.step_hz}, {a.count}) vs "

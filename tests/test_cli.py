@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cryocal
 from cryocal import (
     ComplexTrace,
     forward_model,
@@ -277,3 +281,43 @@ def test_unknown_preset_is_config_error(tmp_path):
     cfg = tmp_path / "g.json"
     cfg.write_text(json.dumps({"input": in_path, "preset": "bogus"}))
     assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cryocal.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cryocal, cryocal.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def fidelity_config(tmp_path, **overrides):
+    cfg = tmp_path / "f.json"
+    base = {"model": {"rl_db": 15, "length_m": 0.276}, "axis": {"start": 12, "stop": 18, "count": 2}}
+    cfg.write_text(json.dumps({**base, **overrides}))
+    return cfg
+
+
+def test_fidelity_unknown_gate_name_is_config_error(tmp_path, capsys):
+    cfg = fidelity_config(tmp_path, pairs=[["X", "Z"]])
+    assert run(["fidelity", "sweep-rl", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["x", 0, -1, 2.5, True])
+def test_fidelity_bad_axis_count_is_config_error(tmp_path, capsys, count):
+    cfg = fidelity_config(tmp_path, axis={"start": 12, "stop": 18, "count": count})
+    assert run(["fidelity", "sweep-rl", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "axis.count" in capsys.readouterr().err
+
+
+def test_non_ascii_touchstone_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.s1p"
+    bad.write_bytes("# Hz S RI R 50\n! caf\u00e9\n1e9 0.1 0\n2e9 0.1 0\n".encode("latin-1"))
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"input": str(bad), "preset": "connector"}))
+    assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and "bad.s1p" in err

@@ -13,6 +13,7 @@ from cryocal import (
     impulse_response_fourier,
     impulse_response_taps,
 )
+from cryocal.timegate import TimeTrace
 
 C = 299792458.0
 
@@ -154,6 +155,28 @@ def test_distort_with_response_matches_taps():
     n = min(a.samples.size, b.samples.size)
     scale = np.max(np.abs(a.samples))
     np.testing.assert_allclose(a.samples[:n] / scale, b.samples[:n] / scale, atol=5e-4)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_analytic_signal_matches_dft_construction(n):
+    # one-sided spectrum from an explicit DFT matrix: dc and, for even n, the
+    # Nyquist bin keep unit weight, positive frequencies double, negative vanish
+    x = np.random.default_rng(n).standard_normal(n)
+    k = np.arange(n)
+    dft = np.exp(-2j * math.pi * np.outer(k, k) / n)
+    weight = np.where((k == 0) | (2 * k == n), 1.0, np.where(2 * k < n, 2.0, 0.0))
+    want = np.conj(dft) @ (weight * (dft @ x)) / n
+    got = PulseWaveform(1e-12, x, 0.0)._analytic
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got.real, x, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_pulse, n_response", [(5, 3), (11, 7), (64, 64), (2, 30)])
+def test_distort_with_response_matches_direct_convolution(n_pulse, n_response):
+    rng = np.random.default_rng(n_pulse * n_response)
+    x, r = rng.standard_normal(n_pulse), rng.standard_normal(n_response)
+    got = distort_with_response(PulseWaveform(1e-12, x, 0.0), TimeTrace(1e-12, 0.0, r)).samples
+    np.testing.assert_allclose(got, np.convolve(x, r), rtol=0, atol=1e-12)
 
 
 def test_waveform_carrier_resolution_guard():

@@ -98,6 +98,8 @@ def test_gate_table():
     assert GateOp("I").angle_rad == 0.0
     with pytest.raises(SimulationError):
         GateOp("Z")
+    with pytest.raises(SimulationError):
+        qubitsim.calibrated_amplitudes(["Z"], 5e-9, PARAMS)
 
 
 def test_state_norm_guard():
@@ -235,6 +237,31 @@ def test_pi_calibration_best_effort():
     assert 1.0 - pop_e(out) < 1e-4
 
 
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
+def test_pi_amplitude_is_stationary_point_of_ground_population(duration_s):
+    # |g|^2 = 1 - P_e is flat at its minimum, so a central-difference Newton
+    # step from the calibrated amplitude must vanish at any small probe width
+    a = calibrate_amplitude(GateOp("X"), duration_s, PARAMS)
+    unit = synth_gate_pulse(GateOp("X"), duration_s, PARAMS, amplitude=1.0)
+
+    def ground(amp):
+        return evolve(GROUND, replace(unit, samples=amp * unit.samples), PARAMS).amplitudes[0]
+
+    for rel in (1e-5, 1e-6):
+        h = rel * a
+        g_hi, g_lo = ground(a + h), ground(a - h)
+        slope = (g_hi - g_lo) / (2 * h)
+        step = (np.conj(slope) * (g_hi + g_lo) / 2).real / abs(slope) ** 2
+        assert abs(step) <= 1e-12 * a
+
+
+def test_60ns_pi_calibration_takes_at_most_six_evolves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qubitsim, "evolve", lambda *a: calls.append(1) or evolve(*a))
+    calibrate_amplitude(GateOp("X"), 60e-9, PARAMS)
+    assert len(calls) <= 6
+
+
 def test_amplitude_area_scaling():
     a5 = calibrate_amplitude(GateOp("X"), 5e-9, PARAMS)
     a10 = calibrate_amplitude(GateOp("X"), 10e-9, PARAMS)
@@ -272,8 +299,8 @@ def test_zero_distortion_simulates_nothing(monkeypatch):
 
 def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
     calls = []
-    hilbert = distortion.hilbert
-    monkeypatch.setattr(distortion, "hilbert", lambda x: calls.append(x.size) or hilbert(x))
+    analytic = distortion._analytic_signal
+    monkeypatch.setattr(distortion, "_analytic_signal", lambda x: calls.append(x.size) or analytic(x))
     pairs = (("X", "Y"), ("Y", "X"))
     run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, amplitudes={"X": 1e9, "Y": 1e9})
     assert len(calls) == len(pairs)
