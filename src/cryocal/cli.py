@@ -41,7 +41,7 @@ from .uncertainty import (
     interp_ecal_sigma,
     to_return_loss,
 )
-from .distortion import DistortionError, MismatchModel, impulse_response_taps, distort
+from .distortion import C_VACUUM, DistortionError, MismatchModel, impulse_response_taps, distort
 from .qubitsim import (
     ALLXY_GATES,
     GateOp,
@@ -92,22 +92,51 @@ def _load_config(path_str: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return cfg[key]
+_REQUIRED = object()
+_KINDS = {  # kind -> (what the error message asks for, test of a non-null JSON value)
+    # abs(v) <= max is false for NaN and inf, and compares a huge int without overflow
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    int: ("an integer", lambda v: type(v) is int),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    dict: ("an object", lambda v: type(v) is dict),
+    Path: ("the path of an existing file", lambda v: type(v) is str and Path(v).is_file()),
+}
 
 
-def _input_file(path_str: str) -> Path:
-    path = Path(path_str)
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path}")
-    return path
+def _get(block: dict, key: str, kind, default=_REQUIRED, where: str = ""):
+    """``block[key]`` checked against ``kind``; an absent or null key gives ``default``.
+
+    ``kind`` is a key of ``_KINDS`` (a float or Path kind returns a float or a
+    Path) or ``[kind]``, a list checked element by element. Errors name the
+    dotted key, e.g. ``model.length_m`` or ``rows[2].s11``.
+    """
+    name = f"{where}.{key}" if where else key
+    value = block[key] if key in block else None
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        return default
+    return _check(value, kind, name)
 
 
-def _read_trace(path: Path):
-    trace = read_touchstone_file(path, expected_ports=1)
-    return trace
+def _check(value, kind, name: str):
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_check(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    wanted, ok = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    return float(value) if kind is float else Path(value) if kind is Path else value
+
+
+def _build(where: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, reporting a domain type's rejection as a ConfigError."""
+    try:
+        return cls(*args, **kwargs)
+    except (DistortionError, GateError, SimulationError, UncertaintyError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict[str, Path], outputs: list[Path]):
@@ -139,17 +168,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]):
 def cmd_cal(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    std_cfg = _require(cfg, "standards")
+    std_cfg = _get(cfg, "standards", dict)
     inputs: dict[str, Path] = {"config": Path(args.config)}
     traces = {}
     for std in ("short", "open", "load"):
-        block = _require(std_cfg, std, "standards block")
+        block = _get(std_cfg, std, dict, where="standards")
         for role in ("defined", "measured"):
-            path = _input_file(_require(block, role, f"standards.{std}"))
-            inputs[f"{std}.{role}"] = path
-            traces[f"{role}_{std}"] = _read_trace(path)
-    standards = StandardsSet(**traces)
-    model = solve_error_model(standards)
+            path = inputs[f"{std}.{role}"] = _get(block, role, Path, where=f"standards.{std}")
+            traces[f"{role}_{std}"] = read_touchstone_file(path, expected_ports=1)
+    duts = _get(cfg, "duts", [Path], [])
+    model = solve_error_model(StandardsSet(**traces))
 
     outputs = []
     rows = []
@@ -163,10 +191,9 @@ def cmd_cal(args) -> int:
     )
     outputs.append(error_csv)
 
-    for i, dut_path_str in enumerate(cfg.get("duts", [])):
-        dut_path = _input_file(dut_path_str)
+    for i, dut_path in enumerate(duts):
         inputs[f"dut[{i}]"] = dut_path
-        corrected = apply_correction(model, _read_trace(dut_path))
+        corrected = apply_correction(model, read_touchstone_file(dut_path, expected_ports=1))
         out_path = out / f"corrected_{dut_path.stem}.s1p"
         out_path.write_text(write_touchstone(corrected))
         outputs.append(out_path)
@@ -176,29 +203,27 @@ def cmd_cal(args) -> int:
 
 
 def _gate_from_config(cfg: dict, preset_flag: str | None) -> GateSpec:
-    name = preset_flag or cfg.get("preset")
+    name = preset_flag or _get(cfg, "preset", str, None)
     if name is not None:
         if name not in GATE_PRESETS:
-            raise ConfigError(
-                f"unknown gate preset {name!r}; choose from {sorted(GATE_PRESETS)}"
-            )
+            raise ConfigError(f"unknown gate preset {name!r}; choose from {sorted(GATE_PRESETS)}")
         return GATE_PRESETS[name]
-    block = _require(cfg, "gate")
-    return GateSpec(
-        center_s=float(_require(block, "center_ns", "gate block")) * 1e-9,
-        span_s=float(_require(block, "span_ns", "gate block")) * 1e-9,
-        kaiser_beta=float(block.get("kaiser_beta", 6.0)),
-        splice_below_cutoff=bool(block.get("splice", False)),
+    block = _get(cfg, "gate", dict)
+    return _build(
+        "gate", GateSpec,
+        center_s=_get(block, "center_ns", float, where="gate") * 1e-9,
+        span_s=_get(block, "span_ns", float, where="gate") * 1e-9,
+        kaiser_beta=_get(block, "kaiser_beta", float, 6.0, "gate"),
+        splice_below_cutoff=_get(block, "splice", bool, False, "gate"),
     )
 
 
 def cmd_gate(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    in_path = _input_file(_require(cfg, "input"))
+    in_path = _get(cfg, "input", Path)
     gate = _gate_from_config(cfg, args.preset)
-    trace = _read_trace(in_path)
-    gated = apply_gate(trace, gate)
+    gated = apply_gate(read_touchstone_file(in_path, expected_ports=1), gate)
 
     gated_path = out / f"gated_{in_path.stem}.s1p"
     gated_path.write_text(write_touchstone(gated))
@@ -217,11 +242,12 @@ def cmd_gate(args) -> int:
 def cmd_extract_loss(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    in_path = _input_file(_require(cfg, "input"))
-    if args.preset is None and "preset" not in cfg and "gate" not in cfg:
-        cfg = dict(cfg, preset="through-short")
-    gate = _gate_from_config(cfg, args.preset)
-    gated = apply_gate(_read_trace(in_path), gate)
+    in_path = _get(cfg, "input", Path)
+    preset = args.preset or _get(cfg, "preset", str, None)
+    if preset is None and _get(cfg, "gate", dict, None) is None:
+        preset = "through-short"
+    gate = _gate_from_config(cfg, preset)
+    gated = apply_gate(read_touchstone_file(in_path, expected_ports=1), gate)
     s21 = extract_insertion_loss(gated)
     loss = insertion_loss_db(s21)
     rows = [
@@ -235,16 +261,20 @@ def cmd_extract_loss(args) -> int:
 
 
 def _read_ecal_table(path: Path) -> UncertaintyTable:
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    start = 1 if lines and not lines[0].split(",")[0].lstrip("+-").replace(".", "", 1).isdigit() else 0
-    levels, sigmas = [], []
-    for ln in lines[start:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: expected two columns (s11_db,sigma_linear), got {ln!r}")
-        levels.append(float(parts[0]))
-        sigmas.append(float(parts[1]))
-    return UncertaintyTable(np.asarray(levels), np.asarray(sigmas))
+    """(s11_db, sigma_linear) rows; the first line is a header if its cells are not numbers."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+    rows = []
+    for k, (lineno, ln) in enumerate(lines):
+        try:
+            row = [float(cell) for cell in ln.split(",")]
+        except ValueError:
+            if k == 0:
+                continue
+            raise ConfigError(f"{path}, line {lineno}: non-numeric cell in {ln!r}") from None
+        if len(row) != 2:
+            raise ConfigError(f"{path}, line {lineno}: expected two columns (s11_db,sigma_linear), got {ln!r}")
+        rows.append(row)
+    return _build(str(path), UncertaintyTable, *np.array(rows).reshape(-1, 2).T)
 
 
 def cmd_uncertainty(args) -> int:
@@ -252,42 +282,34 @@ def cmd_uncertainty(args) -> int:
     out = _out_dir(args)
     inputs: dict[str, Path] = {"config": Path(args.config)}
 
-    freqs_ghz = cfg.get("frequencies_ghz", list(DEFAULT_TABLE_GHZ))
+    freqs_ghz = _get(cfg, "frequencies_ghz", [float], list(DEFAULT_TABLE_GHZ))
     if not freqs_ghz:
         raise ConfigError("frequencies_ghz must be a non-empty list")
+    rows = _get(cfg, "rows", [dict], None)
 
     rows_out = []
-    if "rows" in cfg:
+    if rows is not None:
         # Direct (s11, sigma) rows, bypassing trace + table lookup.
-        for row in cfg["rows"]:
-            f_ghz = float(_require(row, "freq_ghz", "rows entry"))
-            s11 = float(_require(row, "s11", "rows entry"))
-            sigma = float(_require(row, "sigma", "rows entry"))
-            rows_out.append((f_ghz, s11, sigma))
+        for i, row in enumerate(rows):
+            rows_out.append(tuple(_get(row, k, float, where=f"rows[{i}]") for k in ("freq_ghz", "s11", "sigma")))
     else:
-        in_path = _input_file(_require(cfg, "input"))
-        inputs["input"] = in_path
-        table_path = _input_file(_require(cfg, "ecal_table"))
-        inputs["ecal_table"] = table_path
-        trace = _read_trace(in_path)
+        in_path = inputs["input"] = _get(cfg, "input", Path)
+        table_path = inputs["ecal_table"] = _get(cfg, "ecal_table", Path)
+        sigma_var = _get(cfg, "sigma_switch_var", float)
+        sigma_rep = _get(cfg, "sigma_switch_rep", float, 0.0)
+        include_rep = _get(cfg, "include_rep", bool, False)
+        trace = read_touchstone_file(in_path, expected_ports=1)
         table = _read_ecal_table(table_path)
-        sigma_var = float(_require(cfg, "sigma_switch_var"))
-        sigma_rep = float(cfg.get("sigma_switch_rep", 0.0))
-        include_rep = bool(cfg.get("include_rep", False))
         freqs = trace.grid.frequencies
         for f_ghz in freqs_ghz:
-            f_hz = float(f_ghz) * 1e9
+            f_hz = f_ghz * 1e9
             idx = int(np.argmin(np.abs(freqs - f_hz)))
             if abs(freqs[idx] - f_hz) > trace.grid.step_hz:
                 raise UncertaintyError(f"no grid point near {f_ghz} GHz in {in_path}")
             s11 = float(abs(trace.values[idx]))
             level_db = -20.0 * math.log10(s11)
-            budget = ErrorBudget(
-                sigma_ecal=interp_ecal_sigma(table, level_db),
-                sigma_switch_var=sigma_var,
-                sigma_switch_rep=sigma_rep,
-            )
-            rows_out.append((float(f_ghz), s11, combine_rss(budget, include_rep=include_rep)))
+            budget = _build("config", ErrorBudget, interp_ecal_sigma(table, level_db), sigma_var, sigma_rep)
+            rows_out.append((f_ghz, s11, combine_rss(budget, include_rep=include_rep)))
 
     csv_rows = []
     for f_ghz, s11, sigma in rows_out:
@@ -315,47 +337,46 @@ def cmd_uncertainty(args) -> int:
 
 
 def _qubit_params(cfg: dict) -> QubitParams:
-    block = cfg.get("qubit", {})
-    return QubitParams(
-        omega_q=2.0 * math.pi * float(block.get("f_q_ghz", 5.0)) * 1e9,
-        dt_s=float(block.get("dt_ps", 1.0)) * 1e-12,
-    )
+    block = _get(cfg, "qubit", dict, {})
+    omega_q = 2.0 * math.pi * _get(block, "f_q_ghz", float, 5.0, "qubit") * 1e9
+    return _build("qubit", QubitParams, omega_q, _get(block, "dt_ps", float, 1.0, "qubit") * 1e-12)
 
 
-def _mismatch_model(cfg: dict) -> MismatchModel:
-    block = _require(cfg, "model")
-    rl = block.get("rl_db")
-    rl1 = float(block.get("rl1_db", rl if rl is not None else 15.0))
-    rl2 = float(block.get("rl2_db", rl if rl is not None else 15.0))
-    return MismatchModel(
-        rl1_db=rl1,
-        rl2_db=rl2,
-        length_m=float(_require(block, "length_m", "model block")),
-        v_p=float(block.get("v_p_over_c", 0.7)) * 299792458.0,
-        max_reflections=int(block.get("max_reflections", 5)),
+def _duration_s(cfg: dict, params: QubitParams) -> float:
+    duration_s = _get(cfg, "duration_ns", float, 5.0) * 1e-9
+    if not duration_s > 10.0 * params.dt_s:
+        raise ConfigError(f"duration_ns must exceed 10 integrator steps (qubit.dt_ps), got {duration_s * 1e9}")
+    return duration_s
+
+
+def _mismatch_model(block: dict) -> MismatchModel:
+    rl = _get(block, "rl_db", float, 15.0, "model")
+    return _build(
+        "model", MismatchModel,
+        rl1_db=_get(block, "rl1_db", float, rl, "model"),
+        rl2_db=_get(block, "rl2_db", float, rl, "model"),
+        length_m=_get(block, "length_m", float, where="model"),
+        v_p=_get(block, "v_p_over_c", float, 0.7, "model") * C_VACUUM,
+        max_reflections=_get(block, "max_reflections", int, 5, "model"),
     )
 
 
 def _axis(cfg: dict) -> np.ndarray:
-    block = _require(cfg, "axis")
-    count = _require(block, "count", "axis block")
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+    block = _get(cfg, "axis", dict)
+    count = _get(block, "count", int, where="axis")
+    start = _get(block, "start", float, where="axis")
+    stop = _get(block, "stop", float, where="axis")
+    if count < 1:
         raise ConfigError(f"axis.count must be an integer >= 1, got {count!r}")
-    return np.linspace(
-        float(_require(block, "start", "axis block")),
-        float(_require(block, "stop", "axis block")),
-        count,
-    )
+    if not (start > 0 and stop > 0):
+        raise ConfigError(f"axis.start and axis.stop must be > 0, got {start} and {stop}")
+    return np.linspace(start, stop, count)
 
 
 def _pairs(cfg: dict) -> tuple[tuple[str, ...], ...]:
-    pairs = cfg.get("pairs", [["X", "Y"]])
-    if not isinstance(pairs, list) or not pairs or not all(
-        isinstance(p, list) and p and all(k in ALLXY_GATES for k in p) for p in pairs
-    ):
-        raise ConfigError(
-            f"pairs must be a non-empty list of lists of gate names {list(ALLXY_GATES)}, got {pairs!r}"
-        )
+    pairs = _get(cfg, "pairs", [[str]], [["X", "Y"]])
+    if not pairs or not all(p and set(p) <= set(ALLXY_GATES) for p in pairs):
+        raise ConfigError(f"pairs must be a non-empty list of lists of gate names {list(ALLXY_GATES)}, got {pairs!r}")
     return tuple(tuple(p) for p in pairs)
 
 
@@ -375,11 +396,13 @@ def cmd_fidelity(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
     params = _qubit_params(cfg)
-    model = _mismatch_model(cfg)
+    model = _mismatch_model(_get(cfg, "model", dict))
     axis = _axis(cfg)
-    duration_s = float(cfg.get("duration_ns", 5.0)) * 1e-9
+    duration_s = _duration_s(cfg, params)
     pairs = _pairs(cfg)
-    method = cfg.get("method", "taps")
+    method = _get(cfg, "method", str, "taps")
+    if method not in ("taps", "fourier"):
+        raise ConfigError(f"method must be 'taps' or 'fourier', got {method!r}")
 
     if args.mode == "sweep-length":
         result = sweep_length(model, axis, duration_s, params, pairs, method, args.threads)
@@ -412,12 +435,14 @@ def cmd_pulse_synth(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
     params = _qubit_params(cfg)
-    gate = GateOp(cfg.get("gate", "X"))
-    duration_s = float(cfg.get("duration_ns", 5.0)) * 1e-9
-    amplitude = cfg.get("amplitude")
-    pulse = synth_gate_pulse(gate, duration_s, params, None if amplitude is None else float(amplitude))
-    if "model" in cfg:
-        pulse = distort(pulse, impulse_response_taps(_mismatch_model(cfg)))
+    gate = _build("gate", GateOp, _get(cfg, "gate", str, "X"))
+    duration_s = _duration_s(cfg, params)
+    amplitude = _get(cfg, "amplitude", float, None)
+    model_block = _get(cfg, "model", dict, None)
+    model = None if model_block is None else _mismatch_model(model_block)
+    pulse = synth_gate_pulse(gate, duration_s, params, amplitude)
+    if model is not None:
+        pulse = distort(pulse, impulse_response_taps(model))
     rows = [[_fmt(t), _fmt(v)] for t, v in zip(pulse.times, pulse.samples)]
     pulse_csv = out / "pulse.csv"
     _write_csv(pulse_csv, ["time_s", "amplitude"], rows)

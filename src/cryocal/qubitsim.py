@@ -42,6 +42,8 @@ class QubitParams:
     def __post_init__(self):
         if self.omega_q <= 0:
             raise SimulationError("omega_q must be > 0")
+        if not self.dt_s > 0:
+            raise SimulationError("dt_s must be > 0")
         if self.dt_s * self.omega_q / (2.0 * math.pi) > 1.0 / 20.0:
             raise SimulationError("dt_s too coarse: need >= 20 steps per carrier period")
 
@@ -260,6 +262,7 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     """
     if gate.kind == "I":
         raise SimulationError("identity gate needs no amplitude calibration")
+    unit = synth_gate_pulse(gate, duration_s, params, amplitude=1.0)
     theta = gate.angle_rad
     # rotating-wave estimate: envelope area equals the rotation angle
     ds = params.dt_s / 2.0
@@ -267,8 +270,6 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     t = ds * np.arange(n + 1)
     unit_area = float(np.trapezoid(_truncated_gaussian_envelope(t, duration_s), dx=ds))
     est = theta / unit_area
-
-    unit = synth_gate_pulse(gate, duration_s, params, amplitude=1.0)
     is_pi = theta > math.pi - 1e-12
     target = math.sin(theta / 2.0) ** 2
 

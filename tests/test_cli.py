@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cryocal
 from cryocal import (
@@ -14,7 +18,7 @@ from cryocal import (
     parse_touchstone,
     write_touchstone,
 )
-from cryocal.cli import main
+from cryocal.cli import _read_ecal_table, main
 
 from conftest import aligned_grid, constant_error_model, reflector_trace, shorted_line_trace
 
@@ -321,3 +325,156 @@ def test_non_ascii_touchstone_is_data_error(tmp_path, capsys):
     assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 3
     err = capsys.readouterr().err
     assert "line 2" in err and "bad.s1p" in err
+
+
+def test_ecal_table_without_header_keeps_exponent_first_row(tmp_path):
+    table = tmp_path / "ecal.csv"
+    table.write_text("-4e1,0.003\n-10,0.002\n-5,0.002\n")
+    assert list(_read_ecal_table(table).s11_db) == [-40.0, -10.0, -5.0]
+
+
+# ------------------------------------------------ config checks and fuzzing
+
+DROP = object()
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """Small valid (argv, config) per subcommand, with the files they name."""
+    d = tmp_path_factory.mktemp("valid")
+    grid = aligned_grid(count=64)
+    box = constant_error_model(grid, 0.1 + 0.02j, 0.2 - 0.05j, -0.79 + 0.01j)
+    standards = {}
+    for name, gamma in (("short", -1.0), ("open", 1.0), ("load", 0.001)):
+        tr = ComplexTrace(grid=grid, values=np.full(grid.count, gamma + 0j))
+        standards[name] = {
+            "defined": write_trace(d / f"{name}_def.s1p", tr),
+            "measured": write_trace(d / f"{name}_meas.s1p", forward_model(box, tr)),
+        }
+    wide = aligned_grid(start_hz=2.5e7, step_hz=2.5e7, count=800)
+    cable = write_trace(d / "cable.s1p", reflector_trace(wide, [(0.05, 0.0), (0.9, 2.15e-9)]))
+    line = write_trace(d / "line.s1p", shorted_line_trace(wide, 0.99))
+    ecal = d / "ecal.csv"
+    ecal.write_text("s11_db,sigma_linear\n0,0.002\n50,0.002\n")
+    qubit = {"f_q_ghz": 5.0, "dt_ps": 1.0}
+    model = {"rl_db": 15, "length_m": 0.276, "v_p_over_c": 0.7, "max_reflections": 5}
+    return d, {
+        "cal": (["cal"], {"standards": standards, "duts": [standards["open"]["measured"]]}),
+        "gate": (["gate"], {"input": cable, "gate": {"center_ns": 0, "span_ns": 3, "kaiser_beta": 6, "splice": False}}),
+        "extract-loss": (["extract-loss"], {"input": line, "preset": "through-short"}),
+        "uncertainty-rows": (["uncertainty"], {"rows": [{"freq_ghz": 5, "s11": 0.019, "sigma": 0.006}]}),
+        "uncertainty-trace": (
+            ["uncertainty"],
+            {"input": cable, "ecal_table": str(ecal), "sigma_switch_var": 0.005, "sigma_switch_rep": 0.001,
+             "include_rep": False, "frequencies_ghz": [1, 5]},
+        ),
+        "fidelity": (
+            ["fidelity", "sweep-rl"],
+            {"qubit": qubit, "model": model, "axis": {"start": 12, "stop": 18, "count": 2},
+             "duration_ns": 5, "pairs": [["X", "Y"]], "method": "taps"},
+        ),
+        "pulse": (["pulse", "synth"], {"qubit": qubit, "gate": "X", "duration_ns": 5, "amplitude": 1e9, "model": model}),
+    }
+
+
+def mutated(cfg, path, value):
+    """Copy of ``cfg`` with the key at ``path`` set to ``value``, or removed for DROP."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+def key_paths(node, prefix=()):
+    """Every key path of a JSON tree, blocks and list elements included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+def run_config(argv, cfg, work):
+    path = work / "config.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(path), "--out", str(work / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", ["cal", "gate", "extract-loss", "uncertainty-rows", "uncertainty-trace", "fidelity", "pulse"])
+def test_small_configs_are_valid(valid, name, tmp_path):
+    argv, cfg = valid[1][name]
+    assert run_config(argv, cfg, tmp_path) == (0, "")
+
+
+# (subcommand, key path, bad value, text the message must contain)
+BAD_VALUES = [
+    ("fidelity", ("duration_ns",), "x", "duration_ns"),
+    ("fidelity", ("duration_ns",), 0, "duration_ns"),
+    ("fidelity", ("duration_ns",), math.nan, "duration_ns"),
+    ("fidelity", ("duration_ns",), 10**400, "duration_ns"),
+    ("fidelity", ("method",), "foo", "method"),
+    ("fidelity", ("model",), [1], "model"),
+    ("fidelity", ("model", "length_m"), -1, "length_m"),
+    ("fidelity", ("model", "length_m"), math.inf, "model.length_m"),
+    ("fidelity", ("model", "length_m"), True, "model.length_m"),
+    ("fidelity", ("model", "length_m"), "0.276", "model.length_m"),
+    ("fidelity", ("model", "v_p_over_c"), 2, "model"),
+    ("fidelity", ("model", "max_reflections"), "x", "model.max_reflections"),
+    ("fidelity", ("model", "max_reflections"), 2.7, "model.max_reflections"),
+    ("fidelity", ("qubit", "dt_ps"), 100, "qubit"),
+    ("fidelity", ("qubit", "dt_ps"), 0, "qubit"),
+    ("fidelity", ("axis", "start"), "a", "axis.start"),
+    ("fidelity", ("axis", "start"), -5, "axis.start"),
+    ("pulse", ("gate",), "Z", "gate"),
+    ("pulse", ("amplitude",), "x", "amplitude"),
+    ("gate", ("input",), 5, "input"),
+    ("gate", ("gate", "span_ns"), "x", "gate.span_ns"),
+    ("gate", ("gate", "splice"), "false", "gate.splice"),
+    ("uncertainty-rows", ("rows",), [1], "rows[0]"),
+    ("uncertainty-rows", ("rows", 0, "s11"), "x", "rows[0].s11"),
+    ("uncertainty-trace", ("include_rep",), 1, "include_rep"),
+    ("uncertainty-trace", ("sigma_switch_var",), True, "sigma_switch_var"),
+    ("cal", ("standards",), 5, "standards"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,text", BAD_VALUES, ids=[f"{n}:{'.'.join(map(str, p))}={v!r:.12}" for n, p, v, _ in BAD_VALUES]
+)
+def test_bad_config_value_is_config_error(valid, tmp_path, name, path, value, text):
+    argv, cfg = valid[1][name]
+    code, err = run_config(argv, mutated(cfg, path, value), tmp_path)
+    assert code == 2 and "Traceback" not in err
+    assert "config error" in err and text in err
+
+
+def test_non_numeric_ecal_cell_is_config_error(valid, tmp_path):
+    argv, cfg = valid[1]["uncertainty-trace"]
+    table = tmp_path / "ecal.csv"
+    table.write_text("s11_db,sigma_linear\n0,0.002\n\n50,x\n")
+    code, err = run_config(argv, dict(cfg, ecal_table=str(table)), tmp_path)
+    assert code == 2 and "ecal.csv, line 4" in err and "Traceback" not in err
+
+
+FUZZ_VALUES = (DROP, None, "x", True, [1], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0)
+
+
+@pytest.mark.parametrize("name", ["cal", "gate", "extract-loss", "uncertainty-rows", "uncertainty-trace", "fidelity", "pulse"])
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_config_keeps_exit_code_contract(valid, name, data):
+    # One field is dropped, nulled, given another type or a NaN, infinite,
+    # negative or zero value; none of these raises the work a run does.
+    work, configs = valid
+    argv, cfg = configs[name]
+    path = data.draw(st.sampled_from(list(key_paths(cfg))), label="path")
+    value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+    code, err = run_config(argv, mutated(cfg, path, value), work)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err

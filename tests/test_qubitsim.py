@@ -102,6 +102,12 @@ def test_gate_table():
         qubitsim.calibrated_amplitudes(["Z"], 5e-9, PARAMS)
 
 
+@pytest.mark.parametrize("dt_s", [0.0, -1e-12])
+def test_nonpositive_step_rejected(dt_s):
+    with pytest.raises(SimulationError, match="dt_s must be > 0"):
+        QubitParams(dt_s=dt_s)
+
+
 def test_state_norm_guard():
     with pytest.raises(SimulationError):
         QubitState(np.array([1.0, 1.0]))
@@ -260,6 +266,13 @@ def test_60ns_pi_calibration_takes_at_most_six_evolves(monkeypatch):
     monkeypatch.setattr(qubitsim, "evolve", lambda *a: calls.append(1) or evolve(*a))
     calibrate_amplitude(GateOp("X"), 60e-9, PARAMS)
     assert len(calls) <= 6
+
+
+def test_calibration_rejects_zero_duration():
+    # the duration guard fires before the rotating-wave estimate divides by
+    # the envelope area, which is zero for a zero duration
+    with pytest.raises(SimulationError, match="10 integrator steps"):
+        calibrate_amplitude(GateOp("X"), 0.0, PARAMS)
 
 
 def test_amplitude_area_scaling():
