@@ -7,12 +7,11 @@ pulse distortion -> two-level-system gate-fidelity sweeps.
 
 __version__ = "0.1.0"
 
-from .traces import ComplexTrace, FrequencyGrid, GridError, TwoPortTrace
+from .traces import ComplexTrace, FrequencyGrid, GridError
 from .touchstone import (
     TouchstoneParseError,
     parse_touchstone,
     read_touchstone_file,
-    write_csv,
     write_touchstone,
 )
 from .solcal import (

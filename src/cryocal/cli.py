@@ -175,7 +175,7 @@ def cmd_cal(args) -> int:
         block = _get(std_cfg, std, dict, where="standards")
         for role in ("defined", "measured"):
             path = inputs[f"{std}.{role}"] = _get(block, role, Path, where=f"standards.{std}")
-            traces[f"{role}_{std}"] = read_touchstone_file(path, expected_ports=1)
+            traces[f"{role}_{std}"] = read_touchstone_file(path)
     duts = _get(cfg, "duts", [Path], [])
     model = solve_error_model(StandardsSet(**traces))
 
@@ -193,7 +193,7 @@ def cmd_cal(args) -> int:
 
     for i, dut_path in enumerate(duts):
         inputs[f"dut[{i}]"] = dut_path
-        corrected = apply_correction(model, read_touchstone_file(dut_path, expected_ports=1))
+        corrected = apply_correction(model, read_touchstone_file(dut_path))
         out_path = out / f"corrected_{dut_path.stem}.s1p"
         out_path.write_text(write_touchstone(corrected))
         outputs.append(out_path)
@@ -223,7 +223,7 @@ def cmd_gate(args) -> int:
     out = _out_dir(args)
     in_path = _get(cfg, "input", Path)
     gate = _gate_from_config(cfg, args.preset)
-    gated = apply_gate(read_touchstone_file(in_path, expected_ports=1), gate)
+    gated = apply_gate(read_touchstone_file(in_path), gate)
 
     gated_path = out / f"gated_{in_path.stem}.s1p"
     gated_path.write_text(write_touchstone(gated))
@@ -247,7 +247,7 @@ def cmd_extract_loss(args) -> int:
     if preset is None and _get(cfg, "gate", dict, None) is None:
         preset = "through-short"
     gate = _gate_from_config(cfg, preset)
-    gated = apply_gate(read_touchstone_file(in_path, expected_ports=1), gate)
+    gated = apply_gate(read_touchstone_file(in_path), gate)
     s21 = extract_insertion_loss(gated)
     loss = insertion_loss_db(s21)
     rows = [
@@ -298,7 +298,7 @@ def cmd_uncertainty(args) -> int:
         sigma_var = _get(cfg, "sigma_switch_var", float)
         sigma_rep = _get(cfg, "sigma_switch_rep", float, 0.0)
         include_rep = _get(cfg, "include_rep", bool, False)
-        trace = read_touchstone_file(in_path, expected_ports=1)
+        trace = read_touchstone_file(in_path)
         table = _read_ecal_table(table_path)
         freqs = trace.grid.frequencies
         for f_ghz in freqs_ghz:
@@ -307,6 +307,8 @@ def cmd_uncertainty(args) -> int:
             if abs(freqs[idx] - f_hz) > trace.grid.step_hz:
                 raise UncertaintyError(f"no grid point near {f_ghz} GHz in {in_path}")
             s11 = float(abs(trace.values[idx]))
+            if s11 == 0.0:
+                raise UncertaintyError(f"|S11| is 0 at {f_ghz} GHz in {in_path}: no return-loss level to look up")
             level_db = -20.0 * math.log10(s11)
             budget = _build("config", ErrorBudget, interp_ecal_sigma(table, level_db), sigma_var, sigma_rep)
             rows_out.append((f_ghz, s11, combine_rss(budget, include_rep=include_rep)))

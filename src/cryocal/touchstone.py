@@ -1,48 +1,27 @@
-"""Touchstone v1 (.s1p/.s2p) reading and writing, plus CSV export.
+"""Touchstone v1 one-port (.s1p) reading and writing.
 
-Only version-1 files are supported: an option line of the form
-``# <freq-unit> S <RI|MA|DB> R <ohms>``, ``!`` comments, and
-whitespace-separated numeric records with strictly increasing frequency.
-The reference impedance is recorded on the trace but otherwise unused;
-all work happens in reflection-coefficient space.
+Only version-1 one-port files are supported: an option line of the form
+``# <freq-unit> S <RI|MA|DB> R <ohms>``, ``!`` comments, and records of
+three whitespace-separated numbers (frequency, then the S11 pair) with
+strictly increasing frequency. A two-port file is rejected by the
+column-count check. The reference impedance is recorded on the trace but
+otherwise unused; all work happens in reflection-coefficient space.
 """
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
-from .traces import ComplexTrace, FrequencyGrid, TwoPortTrace
+from .traces import ComplexTrace, FrequencyGrid
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
+_N_COLS = 3  # frequency, then the two numbers of S11
 
 
 class TouchstoneParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-def _to_complex(a: float, b: float, fmt: str) -> complex:
-    if fmt == "RI":
-        return complex(a, b)
-    if fmt == "MA":
-        return a * cmath.exp(1j * math.radians(b))
-    # DB: magnitude given as 20*log10
-    return 10.0 ** (a / 20.0) * cmath.exp(1j * math.radians(b))
-
-
-def _from_complex(v: complex, fmt: str) -> tuple[float, float]:
-    if fmt == "RI":
-        return v.real, v.imag
-    mag = abs(v)
-    ang = math.degrees(cmath.phase(v)) if mag > 0 else 0.0
-    if fmt == "MA":
-        return mag, ang
-    db = -math.inf if mag == 0 else 20.0 * math.log10(mag)
-    return db, ang
 
 
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:
@@ -76,23 +55,59 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
     return scale, fmt, z0
 
 
-def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace | TwoPortTrace:
-    """Parse Touchstone v1 text into a trace.
+def _floats(rows: list[str]) -> np.ndarray:
+    """The whitespace-separated numbers of each row, one array row per row."""
+    return np.loadtxt(rows, comments=None, ndmin=2)
 
-    Frequencies are converted to Hz, values to linear complex form
-    regardless of the source format. Non-uniform grids are accepted but
-    flagged with ``uniform=False``.
+
+def _is_number(tok: str) -> bool:
+    try:
+        _floats([tok])
+        return True
+    except ValueError:
+        return False
+
+
+def _read_records(rows: list[str], line_nos: list[int]) -> np.ndarray:
+    """Convert the data records with one array call.
+
+    Only when that call fails are the records scanned again, one by one, to
+    name the line and token at fault.
     """
-    if expected_ports not in (1, 2):
-        raise ValueError("expected_ports must be 1 or 2")
+    try:
+        data = _floats(rows)
+        if data.shape[1] != _N_COLS:
+            raise ValueError(f"records have {data.shape[1]} columns")
+        return data
+    except ValueError:
+        for line_no, row in zip(line_nos, rows):
+            tokens = row.split()
+            if len(tokens) != _N_COLS:
+                raise TouchstoneParseError(
+                    line_no, f"expected {_N_COLS} columns for 1-port data, got {len(tokens)}"
+                ) from None
+            bad = next((t for t in tokens if not _is_number(t)), None)
+            if bad is not None:
+                raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}") from None
+        raise
+
+
+def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
+    """Parse one-port Touchstone v1 text into a trace.
+
+    ``expected_ports`` must be 1. Frequencies are converted to Hz, values to
+    linear complex form regardless of the source format. Non-uniform grids
+    are accepted but flagged with ``uniform=False``. In a file with several
+    faults, option-line faults are reported before faults in the data records.
+    """
+    if expected_ports != 1:
+        raise ValueError("only one-port data is supported: expected_ports must be 1")
     if isinstance(text, bytes):
         text = text.decode("ascii")
 
-    n_cols = 1 + 2 * expected_ports**2
     scale = fmt = z0 = None
-    freqs: list[float] = []
-    cols: list[list[complex]] = [[] for _ in range(expected_ports**2)]
-
+    rows: list[str] = []
+    line_nos: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("!", 1)[0].strip()
         if not line:
@@ -104,84 +119,57 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace | T
             continue
         if scale is None:
             raise TouchstoneParseError(line_no, "data before option line")
-        tokens = line.split()
-        if len(tokens) != n_cols:
-            raise TouchstoneParseError(
-                line_no,
-                f"expected {n_cols} columns for {expected_ports}-port data, "
-                f"got {len(tokens)}",
-            )
-        try:
-            nums = [float(t) for t in tokens]
-        except ValueError:
-            bad = next(t for t in tokens if not _is_number(t))
-            raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}") from None
-        f_hz = nums[0] * scale
-        if freqs and f_hz <= freqs[-1]:
-            raise TouchstoneParseError(
-                line_no, f"non-increasing frequency {f_hz} Hz after {freqs[-1]} Hz"
-            )
-        freqs.append(f_hz)
-        for k in range(expected_ports**2):
-            cols[k].append(_to_complex(nums[1 + 2 * k], nums[2 + 2 * k], fmt))
+        rows.append(line)
+        line_nos.append(line_no)
 
-    if len(freqs) < 2:
+    data = _read_records(rows, line_nos) if rows else np.empty((0, _N_COLS))
+    if len(data) < 2:
         raise TouchstoneParseError(0, "file contains fewer than two data records")
 
+    freqs = data[:, 0] * scale
+    # f[k+1] <= f[k] rather than np.diff(f) <= 0, which misses [inf, inf]
+    bad = np.flatnonzero(freqs[1:] <= freqs[:-1])
+    if bad.size:
+        k = bad[0] + 1
+        raise TouchstoneParseError(
+            line_nos[k], f"non-increasing frequency {float(freqs[k])} Hz after {float(freqs[k - 1])} Hz"
+        )
+    if fmt == "RI":  # reinterpret each (re, im) pair: exact, -0.0 included, unlike a + 1j * b
+        values = np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
+    else:
+        a, b = data[:, 1], data[:, 2]
+        # float_power is C pow(), as Python's **; np.power differs in the last bit
+        mag = a if fmt == "MA" else np.float_power(10.0, a / 20.0)
+        values = mag * np.exp(1j * np.radians(b))
+
     grid, uniform = FrequencyGrid.from_frequencies(freqs)
-    raw_f = None if uniform else np.array(freqs)
-    if expected_ports == 1:
-        return ComplexTrace(grid, cols[0], uniform, raw_f, z0)
-    # .s2p column order is S11 S21 S12 S22
-    return TwoPortTrace(grid, cols[0], cols[1], cols[2], cols[3], uniform, raw_f, z0)
+    return ComplexTrace(grid, values, uniform, None if uniform else freqs, z0)
 
 
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def write_touchstone(trace: ComplexTrace | TwoPortTrace, fmt: str = "RI") -> str:
+def write_touchstone(trace: ComplexTrace, fmt: str = "RI") -> str:
     """Serialize a trace as Touchstone v1 text (frequencies in Hz).
 
     Round-trip guarantee: parse(write(t)) reproduces t to 1e-12 relative.
+    RI numbers are the exact values; MA angles and DB levels come from
+    numpy's arctan2 and log10, which can differ from ``math``'s in the last bit.
     """
     fmt = fmt.upper()
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    if isinstance(trace, ComplexTrace):
-        col_sets = [trace.values]
-    elif isinstance(trace, TwoPortTrace):
-        col_sets = [trace.s11, trace.s21, trace.s12, trace.s22]
+    v = trace.values
+    if fmt == "RI":
+        a, b = v.real, v.imag
     else:
-        raise TypeError(f"cannot serialize {type(trace).__name__}")
-    freqs = trace.frequencies
-    if len(freqs) == 0:
-        raise ValueError("refusing to write an empty trace")
-
+        mag = np.hypot(v.real, v.imag)  # abs(complex) to the bit; np.abs is not
+        b = np.where(mag > 0, np.degrees(np.angle(v)), 0.0)
+        with np.errstate(divide="ignore"):
+            a = mag if fmt == "MA" else 20.0 * np.log10(mag)
     lines = [f"# Hz S {fmt} R {trace.z0_ohm:.17g}"]
-    for i, f in enumerate(freqs):
-        parts = [f"{f:.17g}"]
-        for col in col_sets:
-            a, b = _from_complex(complex(col[i]), fmt)
-            parts.append(f"{a:.17g}")
-            parts.append(f"{b:.17g}")
-        lines.append(" ".join(parts))
+    lines += ["%.17g %.17g %.17g" % row for row in zip(trace.frequencies.tolist(), a.tolist(), b.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def write_csv(trace: ComplexTrace) -> str:
-    """Export a one-port trace as CSV with header ``freq_hz,real,imag``."""
-    lines = ["freq_hz,real,imag"]
-    for f, v in zip(trace.frequencies, trace.values):
-        lines.append(f"{f:.9g},{v.real:.9g},{v.imag:.9g}")
-    return "\n".join(lines) + "\n"
-
-
-def read_touchstone_file(path, expected_ports: int) -> ComplexTrace | TwoPortTrace:
+def read_touchstone_file(path) -> ComplexTrace:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -189,4 +177,4 @@ def read_touchstone_file(path, expected_ports: int) -> ComplexTrace | TwoPortTra
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise TouchstoneParseError(line_no, f"non-ASCII byte 0x{data[exc.start]:02x} in {path}") from None
-    return parse_touchstone(text, expected_ports)
+    return parse_touchstone(text, 1)

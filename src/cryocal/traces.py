@@ -135,33 +135,3 @@ class ComplexTrace:
     def with_values(self, values) -> "ComplexTrace":
         return ComplexTrace(self.grid, values, self.uniform, self.freq_hz_raw, self.z0_ohm)
 
-
-@dataclass(frozen=True)
-class TwoPortTrace:
-    """Container for full 2-port reference measurements."""
-
-    grid: FrequencyGrid
-    s11: np.ndarray
-    s21: np.ndarray
-    s12: np.ndarray
-    s22: np.ndarray
-    uniform: bool = True
-    freq_hz_raw: np.ndarray | None = None
-    z0_ohm: float = 50.0
-
-    def __post_init__(self):
-        for name in ("s11", "s21", "s12", "s22"):
-            v = _freeze(getattr(self, name), complex)
-            if v.ndim != 1 or v.size != self.grid.count:
-                raise GridError(f"{name} length {v.size} != grid count {self.grid.count}")
-            if not np.all(np.isfinite(v)):
-                raise GridError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, v)
-        if self.freq_hz_raw is not None:
-            object.__setattr__(self, "freq_hz_raw", _freeze(self.freq_hz_raw, float))
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        if not self.uniform and self.freq_hz_raw is not None:
-            return self.freq_hz_raw
-        return self.grid.frequencies

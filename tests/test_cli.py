@@ -208,6 +208,22 @@ def test_uncertainty_trace_mode(tmp_path):
     assert float(first[2]) == pytest.approx(math.sqrt(0.002**2 + 0.005**2))
 
 
+def unc_config(tmp_path, in_path):
+    """The README ``unc.json`` keys, for a trace at ``in_path``."""
+    table = tmp_path / "ecal.csv"
+    table.write_text("s11_db,sigma_linear\n0,0.002\n50,0.002\n")
+    return {"input": str(in_path), "ecal_table": str(table), "sigma_switch_var": 0.005,
+            "frequencies_ghz": [1, 2, 4, 5, 8, 16]}
+
+
+def test_uncertainty_zero_trace_is_data_error(tmp_path):
+    grid = aligned_grid(start_hz=1e9, step_hz=1e9, count=16)
+    in_path = write_trace(tmp_path / "zero.s1p", ComplexTrace(grid=grid, values=np.zeros(grid.count)))
+    code, err = run_config(["uncertainty"], unc_config(tmp_path, in_path), tmp_path)
+    assert code == 3 and "Traceback" not in err
+    assert "1.0 GHz" in err and "zero.s1p" in err
+
+
 def test_uncertainty_empty_frequencies_rejected(tmp_path):
     cfg = tmp_path / "u.json"
     cfg.write_text(json.dumps({"frequencies_ghz": [], "rows": []}))
@@ -277,6 +293,16 @@ def test_unparseable_touchstone_is_data_error(tmp_path):
     cfg = tmp_path / "g.json"
     cfg.write_text(json.dumps({"input": str(bad), "preset": "connector"}))
     assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+
+def test_overflowing_db_touchstone_is_data_error(tmp_path, capsys):
+    # 10 ** (1e6 / 20) overflows; the value is a data error, not a crash
+    bad = tmp_path / "loud.s1p"
+    bad.write_text("# Hz S DB R 50\n1e9 1e6 0\n2e9 0 0\n")
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"input": str(bad), "preset": "connector"}))
+    assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_unknown_preset_is_config_error(tmp_path):
@@ -478,3 +504,76 @@ def test_mutated_config_keeps_exit_code_contract(valid, name, data):
     value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
     code, err = run_config(argv, mutated(cfg, path, value), work)
     assert code in (0, 2, 3, 4) and "Traceback" not in err
+
+
+# ------------------------------------------------------- input-file fuzzing
+
+S1P_LINES = ["# Hz S RI R 50"] + [f"{k}e9 0.019 -0.003" for k in range(1, 17)]
+TOKEN_VALUES = ("nan", "inf", "x", "1_0", "-0", "")
+FILE_MUTATIONS = ("drop", "duplicate", "swap", "token", "column", "zero", "option", "non-ascii", "truncate")
+
+
+def mutated_s1p(kind, data):
+    """Bytes of the 16-point ``S1P_LINES`` file with one ``kind`` of fault drawn from ``data``.
+
+    ``zero`` sets every S11 value to 0 and keeps the frequencies.
+    """
+    lines = list(S1P_LINES)
+
+    def draw_line(label):  # the index of a data line
+        return data.draw(st.integers(1, len(lines) - 1), label=label)
+
+    if kind == "drop":
+        del lines[draw_line("line")]
+    elif kind == "duplicate":
+        i = draw_line("line")
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        i, j = draw_line("line"), draw_line("other")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "token":
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        tokens = lines[i].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(
+            st.sampled_from(TOKEN_VALUES), label="value"
+        )
+        lines[i] = " ".join(tokens)
+    elif kind == "column":
+        add = data.draw(st.booleans(), label="add")
+        lines[1:] = [ln + " 0.5" if add else ln.rsplit(" ", 1)[0] for ln in lines[1:]]
+    elif kind == "zero":
+        lines[1:] = [ln.split()[0] + " 0 0" for ln in lines[1:]]
+    elif kind == "option":
+        lines.insert(data.draw(st.integers(1, len(lines)), label="at"), S1P_LINES[0])
+    text = "\n".join(lines) + "\n"
+    if kind == "non-ascii":
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + chr(data.draw(st.integers(0x80, 0xFF), label="byte")) + text[at:]
+    elif kind == "truncate":
+        i = draw_line("line")
+        text = "\n".join(lines[:i] + [lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]])
+    return text.encode("latin-1")
+
+
+@pytest.fixture(scope="module")
+def s1p_work(tmp_path_factory):
+    return tmp_path_factory.mktemp("s1p")
+
+
+def test_unmutated_s1p_is_valid(s1p_work):
+    in_path = s1p_work / "valid.s1p"
+    in_path.write_text("\n".join(S1P_LINES) + "\n")
+    assert run_config(["gate"], {"input": str(in_path), "preset": "connector"}, s1p_work) == (0, "")
+    assert run_config(["uncertainty"], unc_config(s1p_work, in_path), s1p_work) == (0, "")
+
+
+@pytest.mark.parametrize("kind", FILE_MUTATIONS)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_s1p_keeps_exit_code_contract(s1p_work, kind, data):
+    in_path = s1p_work / "trace.s1p"
+    in_path.write_bytes(mutated_s1p(kind, data))
+    for argv, cfg in ((["gate"], {"input": str(in_path), "preset": "connector"}),
+                      (["uncertainty"], unc_config(s1p_work, in_path))):
+        code, err = run_config(argv, cfg, s1p_work)
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, err)

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +7,9 @@ import pytest
 
 from cryocal import (
     ComplexTrace,
+    FrequencyGrid,
     TouchstoneParseError,
-    TwoPortTrace,
     parse_touchstone,
-    write_csv,
     write_touchstone,
 )
 
@@ -45,11 +46,12 @@ def test_parse_db_format():
     assert tr.z0_ohm == 75.0
 
 
-def test_parse_s2p_column_order():
+def test_parse_two_port_rejected():
     text = "# Hz S RI R 50\n1e9 1 0 2 0 3 0 4 0\n2e9 5 0 6 0 7 0 8 0\n"
-    tr = parse_touchstone(text, expected_ports=2)
-    assert isinstance(tr, TwoPortTrace)
-    assert tr.s11[0] == 1 and tr.s21[0] == 2 and tr.s12[0] == 3 and tr.s22[0] == 4
+    with pytest.raises(ValueError, match="one-port"):
+        parse_touchstone(text, 2)
+    with pytest.raises(TouchstoneParseError, match="expected 3 columns for 1-port data, got 9"):
+        parse_touchstone(text, 1)
 
 
 @pytest.mark.parametrize(
@@ -93,9 +95,51 @@ def test_write_parse_round_trip(fmt, grid):
     np.testing.assert_allclose(back.values, tr.values, rtol=1e-12, atol=1e-14)
 
 
-def test_write_csv_header_and_precision(small_grid):
-    tr = ComplexTrace(grid=small_grid, values=np.full(small_grid.count, 0.123456789123 + 1j))
-    text = write_csv(tr)
-    lines = text.splitlines()
-    assert lines[0] == "freq_hz,real,imag"
-    assert lines[1].split(",")[1] == "0.123456789"
+# The scalar conversions the parser replaced, kept as the reference it must
+# match bit for bit.
+SCALAR_REFERENCE = {
+    "RI": lambda a, b: complex(a, b),
+    "MA": lambda a, b: a * cmath.exp(1j * math.radians(b)),
+    "DB": lambda a, b: 10.0 ** (a / 20.0) * cmath.exp(1j * math.radians(b)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+def test_parse_matches_scalar_formulas_bitwise(fmt):
+    rng = np.random.default_rng(17)
+    angles = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 360.0, -360.0]
+    firsts = [0.0, -0.0, 1.0, -1.0, -3.5, -120.0]  # negative dB, and signed zeros for RI/MA
+    special = list(itertools.product(firsts, angles))
+    n = 1200
+    a = np.concatenate([[p for p, _ in special], rng.uniform(-150.0, 30.0, n)])
+    b = np.concatenate([[q for _, q in special], rng.uniform(-720.0, 720.0, n)])
+    if fmt == "RI":
+        a[len(special):] = rng.normal(size=n) * 10.0 ** rng.integers(-12, 3, n)
+        b[len(special):] = rng.normal(size=n) * 10.0 ** rng.integers(-12, 3, n)
+    rows = [f"{1e6 * (k + 1):.17g} {x:.17g} {y:.17g}" for k, (x, y) in enumerate(zip(a, b))]
+    trace = parse_touchstone(f"# Hz S {fmt} R 50\n" + "\n".join(rows) + "\n", 1)
+    ref = np.array([SCALAR_REFERENCE[fmt](float(x), float(y)) for x, y in zip(a.tolist(), b.tolist())])
+    assert len(trace.values) >= 1000
+    # Compare the bit patterns, so -0.0 and 0.0 count as different.
+    np.testing.assert_array_equal(trace.values.view(np.uint64), ref.view(np.uint64))
+
+
+def write_ri_fstring(trace):
+    """The RI writer as it was, one f-string per value."""
+    lines = [f"# Hz S RI R {trace.z0_ohm:.17g}"]
+    for f, v in zip(trace.frequencies, trace.values):
+        v = complex(v)
+        lines.append(f"{f:.17g} {v.real:.17g} {v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_ri_writer_matches_fstring_form():
+    rng = np.random.default_rng(5)
+    n = 1000
+    vals = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-300, 300, n)
+    vals[:4] = [0.0, complex(-0.0, -0.0), complex(5e-324, -5e-324), complex(-1.0, 0.0)]
+    uniform = ComplexTrace(FrequencyGrid(1e7, 2.5e6, n), vals, z0_ohm=75.0)
+    f = np.cumsum(rng.uniform(1e3, 1e6, n)) + 1e9
+    raw = ComplexTrace(FrequencyGrid.from_frequencies(f)[0], vals, False, f, 50.0)
+    for trace in (uniform, raw):
+        assert write_touchstone(trace) == write_ri_fstring(trace)
