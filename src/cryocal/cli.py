@@ -68,11 +68,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- plumbing
 
 
-def _fmt(x: float) -> str:
-    """Fixed 9-significant-digit formatting for regression-stable CSVs."""
-    return f"{x:.9g}"
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -157,8 +152,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]):
-    lines = [",".join(header)] + [",".join(r) for r in rows]
+_NUMBER = "%.9g"  # 9 significant digits keep the CSVs regression-stable; inf prints as inf
+
+
+def _write_csv(path: Path, header: list[str], *columns):
+    """Write equal-length columns (arrays or sequences) as CSV, one ``%``-format per row.
+
+    A column of strings is written as text (``%s``), any other as numbers (``_NUMBER``).
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join("%s" if c and isinstance(c[0], str) else _NUMBER for c in columns)
+    lines = [",".join(header)] + [row % r for r in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -179,17 +183,14 @@ def cmd_cal(args) -> int:
     duts = _get(cfg, "duts", [Path], [])
     model = solve_error_model(StandardsSet(**traces))
 
-    outputs = []
-    rows = []
-    for f, e00, e11, de in zip(model.grid.frequencies, model.e00, model.e11, model.delta_e):
-        rows.append([_fmt(f)] + [_fmt(v) for v in (e00.real, e00.imag, e11.real, e11.imag, de.real, de.imag)])
     error_csv = out / "error_model.csv"
     _write_csv(
         error_csv,
         ["freq_hz", "e00_re", "e00_im", "e11_re", "e11_im", "delta_e_re", "delta_e_im"],
-        rows,
+        model.grid.frequencies,
+        *(part for term in (model.e00, model.e11, model.delta_e) for part in (term.real, term.imag)),
     )
-    outputs.append(error_csv)
+    outputs = [error_csv]
 
     for i, dut_path in enumerate(duts):
         inputs[f"dut[{i}]"] = dut_path
@@ -227,13 +228,10 @@ def cmd_gate(args) -> int:
 
     gated_path = out / f"gated_{in_path.stem}.s1p"
     gated_path.write_text(write_touchstone(gated))
-    mags = np.abs(gated.values)
-    rows = [
-        [_fmt(f), _fmt(m), _fmt(-20.0 * math.log10(m)) if m > 0 else "inf"]
-        for f, m in zip(gated.grid.frequencies, mags)
-    ]
+    mags = np.abs(gated.values).tolist()
+    rl_db = [-20.0 * math.log10(m) if m > 0 else math.inf for m in mags]
     rl_csv = out / "return_loss.csv"
-    _write_csv(rl_csv, ["freq_hz", "s11_mag", "rl_db"], rows)
+    _write_csv(rl_csv, ["freq_hz", "s11_mag", "rl_db"], gated.grid.frequencies, mags, rl_db)
 
     _write_manifest(out, "gate", {"config": Path(args.config), "input": in_path}, [gated_path, rl_csv])
     return EXIT_OK
@@ -249,13 +247,8 @@ def cmd_extract_loss(args) -> int:
     gate = _gate_from_config(cfg, preset)
     gated = apply_gate(read_touchstone_file(in_path), gate)
     s21 = extract_insertion_loss(gated)
-    loss = insertion_loss_db(s21)
-    rows = [
-        [_fmt(f), _fmt(m), _fmt(ld)]
-        for f, m, ld in zip(gated.grid.frequencies, s21, loss)
-    ]
     loss_csv = out / "insertion_loss.csv"
-    _write_csv(loss_csv, ["freq_hz", "s21_mag", "loss_db"], rows)
+    _write_csv(loss_csv, ["freq_hz", "s21_mag", "loss_db"], gated.grid.frequencies, s21, insertion_loss_db(s21))
     _write_manifest(out, "extract-loss", {"config": Path(args.config), "input": in_path}, [loss_csv])
     return EXIT_OK
 
@@ -300,7 +293,7 @@ def cmd_uncertainty(args) -> int:
         include_rep = _get(cfg, "include_rep", bool, False)
         trace = read_touchstone_file(in_path)
         table = _read_ecal_table(table_path)
-        freqs = trace.grid.frequencies
+        freqs = trace.frequencies
         for f_ghz in freqs_ghz:
             f_hz = f_ghz * 1e9
             idx = int(np.argmin(np.abs(freqs - f_hz)))
@@ -313,26 +306,14 @@ def cmd_uncertainty(args) -> int:
             budget = _build("config", ErrorBudget, interp_ecal_sigma(table, level_db), sigma_var, sigma_rep)
             rows_out.append((f_ghz, s11, combine_rss(budget, include_rep=include_rep)))
 
-    csv_rows = []
-    for f_ghz, s11, sigma in rows_out:
-        res = to_return_loss(s11, sigma)
-        upper = "inf" if res.lower_bound_only else _fmt(res.upper_db)
-        csv_rows.append(
-            [
-                _fmt(f_ghz),
-                _fmt(s11),
-                _fmt(sigma),
-                _fmt(res.rl_db),
-                upper,
-                _fmt(res.lower_db),
-                format_return_loss(res),
-            ]
-        )
+    results = [to_return_loss(s11, sigma) for _, s11, sigma in rows_out]
     table_csv = out / "return_loss_table.csv"
     _write_csv(
         table_csv,
         ["freq_ghz", "s11_linear", "sigma_rss", "rl_db", "upper_db", "lower_db", "display"],
-        csv_rows,
+        [f_ghz for f_ghz, _, _ in rows_out],
+        *([getattr(r, k) for r in results] for k in ("s11_linear", "sigma_rss", "rl_db", "upper_db", "lower_db")),
+        [format_return_loss(r) for r in results],
     )
     _write_manifest(out, "uncertainty", inputs, [table_csv])
     return EXIT_OK
@@ -411,22 +392,24 @@ def cmd_fidelity(args) -> int:
     else:
         result = sweep_return_loss(model, axis, duration_s, params, pairs, method, args.threads)
 
-    rows = []
-    for i, value in enumerate(result.axis):
-        for j, pair in enumerate(result.pairs):
-            rows.append([_fmt(value), "".join(pair), _fmt(result.deviation[i, j])])
+    names = ["".join(pair) for pair in result.pairs]
     sweep_csv = out / f"{args.mode}.csv"
-    _write_csv(sweep_csv, ["axis_value", "pair", "one_minus_f"], rows)
+    # axis-major rows: every pair at the first axis value, then at the next
+    _write_csv(
+        sweep_csv, ["axis_value", "pair", "one_minus_f"],
+        np.repeat(result.axis, len(names)), names * len(result.axis), result.deviation.ravel(),
+    )
     outputs = [sweep_csv]
 
     if args.mode == "sweep-rl":
-        cross_rows = []
-        for j, pair in enumerate(result.pairs):
-            for thr in CROSSING_THRESHOLDS:
-                rl = _crossing(result.axis, result.deviation[:, j], thr)
-                cross_rows.append(["".join(pair), _fmt(thr), "" if rl is None else _fmt(rl)])
+        # pair-major rows; a threshold that is never crossed leaves its cell empty
+        crossings = [_crossing(result.axis, dev, thr) for dev in result.deviation.T for thr in CROSSING_THRESHOLDS]
         cross_csv = out / "crossings.csv"
-        _write_csv(cross_csv, ["pair", "threshold", "rl_db"], cross_rows)
+        _write_csv(
+            cross_csv, ["pair", "threshold", "rl_db"],
+            [name for name in names for _ in CROSSING_THRESHOLDS], CROSSING_THRESHOLDS * len(names),
+            ["" if rl is None else _NUMBER % rl for rl in crossings],
+        )
         outputs.append(cross_csv)
 
     _write_manifest(out, f"fidelity {args.mode}", {"config": Path(args.config)}, outputs)
@@ -445,9 +428,8 @@ def cmd_pulse_synth(args) -> int:
     pulse = synth_gate_pulse(gate, duration_s, params, amplitude)
     if model is not None:
         pulse = distort(pulse, impulse_response_taps(model))
-    rows = [[_fmt(t), _fmt(v)] for t, v in zip(pulse.times, pulse.samples)]
     pulse_csv = out / "pulse.csv"
-    _write_csv(pulse_csv, ["time_s", "amplitude"], rows)
+    _write_csv(pulse_csv, ["time_s", "amplitude"], pulse.times, pulse.samples)
     _write_manifest(out, "pulse synth", {"config": Path(args.config)}, [pulse_csv])
     return EXIT_OK
 
@@ -469,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         if preset:
             p.add_argument("--preset", default=None, help="gate preset name (overrides config)")
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+            p.add_argument("--threads", type=int, default=1, help="has no effect: sweeps run in one process")
 
     common(sub.add_parser("cal", help="solve SOL error model and correct DUT traces"))
     common(sub.add_parser("gate", help="apply a time gate to a reflection trace"), preset=True)

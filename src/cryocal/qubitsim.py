@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -393,20 +392,10 @@ def _pad(wf: PulseWaveform, n: int) -> PulseWaveform:
     return PulseWaveform(wf.dt_s, padded, wf.carrier_hz, wf.phase_rad)
 
 
-def _sweep_point(args):
-    model, duration_s, params, pairs, method, amplitudes = args
-    return run_allxy(model, duration_s, params, pairs, method, amplitudes)
-
-
-def _run_sweep(models, axis, duration_s, params, pairs, method, workers) -> FidelitySweepResult:
+def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweepResult:
     kinds = {k for pair in pairs for k in pair}
     amplitudes = calibrated_amplitudes(kinds, duration_s, params)
-    jobs = [(m, duration_s, params, pairs, method, amplitudes) for m in models]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(j) for j in jobs]
+    rows = [run_allxy(m, duration_s, params, pairs, method, amplitudes) for m in models]
     return FidelitySweepResult(
         axis=np.asarray(axis, dtype=float),
         pairs=tuple(tuple(p) for p in pairs),
@@ -424,12 +413,16 @@ def sweep_length(
     method: str = "taps",
     workers: int = 1,
 ) -> FidelitySweepResult:
-    """1-F versus separation length at the template's fixed return loss."""
+    """1-F versus separation length at the template's fixed return loss.
+
+    ``workers`` is accepted for compatibility and changes nothing: every
+    sweep point runs in this process.
+    """
     lengths = np.asarray(lengths_m, dtype=float)
     if np.any(lengths <= 0):
         raise SimulationError("lengths must be positive")
     models = [replace(model_template, length_m=float(L)) for L in lengths]
-    return _run_sweep(models, lengths, duration_s, params, pairs, method, workers)
+    return _run_sweep(models, lengths, duration_s, params, pairs, method)
 
 
 def sweep_return_loss(
@@ -441,12 +434,16 @@ def sweep_return_loss(
     method: str = "taps",
     workers: int = 1,
 ) -> FidelitySweepResult:
-    """1-F versus return loss (both elements set equal) at fixed length."""
+    """1-F versus return loss (both elements set equal) at fixed length.
+
+    ``workers`` is accepted for compatibility and changes nothing: every
+    sweep point runs in this process.
+    """
     rls = np.asarray(rls_db, dtype=float)
     if np.any(rls <= 0):
         raise SimulationError("return losses must be positive")
     models = [replace(model_template, rl1_db=float(rl), rl2_db=float(rl)) for rl in rls]
-    return _run_sweep(models, rls, duration_s, params, pairs, method, workers)
+    return _run_sweep(models, rls, duration_s, params, pairs, method)
 
 
 def phase_interference(a: float, b: float, theta1: float, theta2: float) -> float:

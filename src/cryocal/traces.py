@@ -70,6 +70,8 @@ class FrequencyGrid:
         f = np.asarray(freq_hz, dtype=float)
         if f.ndim != 1 or f.size < 2:
             raise GridError("need at least two frequency points")
+        if not np.all(np.isfinite(f)):
+            raise GridError("frequencies must be finite")
         if np.any(np.diff(f) <= 0):
             raise GridError("frequencies must be strictly increasing")
         step = (f[-1] - f[0]) / (f.size - 1)

@@ -31,6 +31,8 @@ class UncertaintyTable:
         y = np.asarray(self.sigma_linear, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise UncertaintyError("table needs matching 1-d columns with >= 2 rows")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise UncertaintyError("table entries must be finite")
         d = np.diff(x)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise UncertaintyError("s11_db column must be strictly monotonic")

@@ -14,11 +14,15 @@ from hypothesis import given, settings, strategies as st
 import cryocal
 from cryocal import (
     ComplexTrace,
+    MismatchModel,
+    QubitParams,
     forward_model,
     parse_touchstone,
+    sweep_return_loss,
     write_touchstone,
 )
-from cryocal.cli import _read_ecal_table, main
+from cryocal.cli import CROSSING_THRESHOLDS, _read_ecal_table, main
+from cryocal.distortion import C_VACUUM
 
 from conftest import aligned_grid, constant_error_model, reflector_trace, shorted_line_trace
 
@@ -577,3 +581,112 @@ def test_mutated_s1p_keeps_exit_code_contract(s1p_work, kind, data):
                       (["uncertainty"], unc_config(s1p_work, in_path))):
         code, err = run_config(argv, cfg, s1p_work)
         assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, err)
+
+
+def s1p_records(freqs_ghz):
+    """A one-port RI file with |S11| = f / 1000 at each f GHz, i.e. 0.004 at 4 GHz."""
+    return "\n".join(["# Hz S RI R 50"] + [f"{f}e9 {f / 1000:g} 0" for f in freqs_ghz]) + "\n"
+
+
+def test_uncertainty_non_uniform_trace_reads_the_requested_points(tmp_path):
+    # 1-16 GHz without the 3 GHz record: the fitted grid's 4 GHz point is not a record
+    in_path = tmp_path / "gap.s1p"
+    in_path.write_text(s1p_records([k for k in range(1, 17) if k != 3]))
+    cfg = dict(unc_config(tmp_path, in_path), frequencies_ghz=[4, 8])
+    assert run_config(["uncertainty"], cfg, tmp_path) == (0, "")
+    lines = (tmp_path / "out" / "return_loss_table.csv").read_text().splitlines()
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [["4", "0.004"], ["8", "0.008"]]
+
+
+@pytest.mark.parametrize("last", ["inf", "nan"])
+def test_non_finite_frequency_is_data_error(tmp_path, last):
+    in_path = tmp_path / "bad.s1p"
+    in_path.write_text(s1p_records(range(1, 16)) + f"{last} 0.016 0\n")
+    for argv, cfg in ((["gate"], {"input": str(in_path), "preset": "connector"}),
+                      (["uncertainty"], dict(unc_config(tmp_path, in_path), frequencies_ghz=[1, 4, 8]))):
+        code, err = run_config(argv, cfg, tmp_path)
+        assert code == 3 and "finite" in err and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("table", ["s11_db,sigma_linear\n0,0.002\n50,nan\n", "0,inf\n50,inf\n", "0,0.002\ninf,0.002\n"])
+def test_non_finite_ecal_entry_is_config_error(valid, tmp_path, table):
+    argv, cfg = valid[1]["uncertainty-trace"]
+    path = tmp_path / "ecal.csv"
+    path.write_text(table)
+    code, err = run_config(argv, dict(cfg, ecal_table=str(path)), tmp_path)
+    assert code == 2 and "finite" in err and "Traceback" not in err
+
+
+ECAL_LINES = ["s11_db,sigma_linear", "0,0.002", "10,0.003", "30,0.002", "50,0.002"]
+ECAL_MUTATIONS = ("drop", "duplicate", "swap", "token")
+
+
+@pytest.mark.parametrize("kind", ECAL_MUTATIONS)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_ecal_table_keeps_exit_code_contract(s1p_work, kind, data):
+    # One row of the ECal table is dropped, duplicated or swapped with
+    # another, or one cell (header included) becomes a TOKEN_VALUES entry.
+    lines = list(ECAL_LINES)
+    i = data.draw(st.integers(0 if kind == "token" else 1, len(lines) - 1), label="line")
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.integers(1, len(lines) - 1), label="other")
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, 1), label="cell")] = data.draw(st.sampled_from(TOKEN_VALUES), label="value")
+        lines[i] = ",".join(cells)
+    in_path = s1p_work / "ecal_dut.s1p"
+    in_path.write_text("\n".join(S1P_LINES) + "\n")
+    table = s1p_work / "ecal_mutated.csv"
+    table.write_text("\n".join(lines) + "\n")
+    cfg = dict(unc_config(s1p_work, in_path), ecal_table=str(table))
+    code, err = run_config(["uncertainty"], cfg, s1p_work)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+
+
+# ------------------------------------------------------ CSV text contract
+
+
+def test_empty_rows_give_a_header_only_table(tmp_path):
+    assert run_config(["uncertainty"], {"rows": []}, tmp_path) == (0, "")
+    text = (tmp_path / "out" / "return_loss_table.csv").read_text()
+    assert text == "freq_ghz,s11_linear,sigma_rss,rl_db,upper_db,lower_db,display\n"
+
+
+def test_zero_reflection_has_infinite_return_loss(tmp_path):
+    grid = aligned_grid(start_hz=2.5e7, step_hz=2.5e7, count=64)
+    in_path = write_trace(tmp_path / "zero.s1p", ComplexTrace(grid=grid, values=np.zeros(grid.count)))
+    assert run_config(["gate"], {"input": in_path, "preset": "connector"}, tmp_path) == (0, "")
+    lines = (tmp_path / "out" / "return_loss.csv").read_text().splitlines()
+    assert lines[0] == "freq_hz,s11_mag,rl_db"
+    assert lines[1:] == [f"{'%.9g' % f},0,inf" for f in grid.frequencies]
+
+
+def test_lower_bound_only_row_has_infinite_upper_bar(tmp_path):
+    cfg = {"rows": [{"freq_ghz": 4, "s11": 0.003, "sigma": 0.006}]}
+    assert run_config(["uncertainty"], cfg, tmp_path) == (0, "")
+    row = (tmp_path / "out" / "return_loss_table.csv").read_text().splitlines()[1].split(",")
+    assert row[:3] == ["4", "0.003", "0.006"]
+    assert row[4] == "inf" and row[6] == "50 +inf/-10*"
+
+
+def test_two_pair_sweep_rows_follow_the_in_process_result(tmp_path):
+    pairs = [["X", "Y"], ["X90", "Y90"]]
+    cfg = {"model": {"length_m": 0.276}, "axis": {"start": 30, "stop": 40, "count": 2}, "duration_ns": 5, "pairs": pairs}
+    assert run_config(["fidelity", "sweep-rl"], cfg, tmp_path) == (0, "")
+    model = MismatchModel(rl1_db=15.0, rl2_db=15.0, length_m=0.276, v_p=0.7 * C_VACUUM, max_reflections=5)
+    params = QubitParams(2.0 * math.pi * 5.0 * 1e9, 1.0 * 1e-12)
+    result = sweep_return_loss(model, np.linspace(30.0, 40.0, 2), 5e-9, params, pairs)
+    sweep = (tmp_path / "out" / "sweep-rl.csv").read_text().splitlines()
+    assert sweep[1:] == [  # axis-major
+        "%.9g,%s,%.9g" % (value, "".join(pair), result.deviation[i, j])
+        for i, value in enumerate(result.axis) for j, pair in enumerate(pairs)
+    ]
+    assert np.all(result.deviation < min(CROSSING_THRESHOLDS))  # so no threshold is crossed
+    cross = (tmp_path / "out" / "crossings.csv").read_text().splitlines()
+    assert cross[1:] == ["%s,%.9g," % ("".join(pair), thr) for pair in pairs for thr in CROSSING_THRESHOLDS]
