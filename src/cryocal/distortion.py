@@ -119,6 +119,10 @@ def impulse_response_fourier(
     if window_s < tau0 + 2.0 * spacing:
         raise DistortionError("window too short to localize the tap ladder")
     n_half = int(round(window_s * f_max_hz))
+    if n_half == 0:
+        raise DistortionError(
+            f"window_s = {window_s:.3e} s holds no sample at f_max_hz = {f_max_hz:.3e} Hz"
+        )
     n_full = 2 * n_half
     df = 2.0 * f_max_hz / n_full
     f = df * np.arange(n_half + 1)
@@ -134,13 +138,32 @@ def impulse_response_fourier(
 
 
 def _analytic_signal(x: np.ndarray) -> np.ndarray:
-    """x + i H[x] from the one-sided spectrum at the input's own length, as in
-    Marple (IEEE Trans. Signal Process. 47(9), 1999); padding would change it."""
+    """x + i H[x], H the one-sided-spectrum Hilbert transform at the input's
+    own length n (Marple, IEEE Trans. Signal Process. 47(9), 1999).
+
+    H is the length-n circular convolution with the closed-form odd kernel
+    h[d] = -tan(pi d/2n)/n (even d), cot(pi d/2n)/n (odd d) for odd n and
+    2 cot(pi d/n)/n (odd d), 0 (even d) for even n. It is computed as one
+    linear convolution at a fast FFT length >= 2n - 1 and folded back onto n
+    samples (Bluestein, IEEE Trans. Audio Electroacoust. 18, 451, 1970), so
+    the transform is the length-n one, not that of a padded signal.
+    """
     n = x.size
-    spec = np.zeros(n, dtype=complex)
-    spec[: n // 2 + 1] = np.fft.rfft(x)
-    spec[1 : (n + 1) // 2] *= 2.0  # dc and the even-n Nyquist bin keep unit weight
-    return np.fft.ifft(spec)
+    m = (n - 1) // 2  # h[n - d] = -h[d]: only d <= m is evaluated, at angles below pi/2
+    h = np.zeros(n)
+    if n % 2:
+        t = np.tan(np.pi / (2 * n) * np.arange(1, m + 1))
+        h[1 : m + 1 : 2] = 1.0 / (n * t[::2])
+        h[2 : m + 1 : 2] = -t[1::2] / n
+    else:
+        h[1 : m + 1 : 2] = 2.0 / (n * np.tan(np.pi / n * np.arange(1, m + 1, 2)))
+    h[n - m :] = -h[m:0:-1]
+    size = _fast_len(2 * n - 1)
+    y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)
+    y[: n - 1] += y[n : 2 * n - 1]
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = x, y[:n]
+    return z
 
 
 def _fast_len(n: int) -> int:

@@ -138,9 +138,11 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
         values = np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
     else:
         a, b = data[:, 1], data[:, 2]
-        # float_power is C pow(), as Python's **; np.power differs in the last bit
-        mag = a if fmt == "MA" else np.float_power(10.0, a / 20.0)
-        values = mag * np.exp(1j * np.radians(b))
+        # float_power is C pow(), as Python's **; np.power differs in the last bit.
+        # An overflowing level is reported by the finite-value check, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = a if fmt == "MA" else np.float_power(10.0, a / 20.0)
+            values = mag * np.exp(1j * np.radians(b))
 
     grid, uniform = FrequencyGrid.from_frequencies(freqs)
     return ComplexTrace(grid, values, uniform, None if uniform else freqs, z0)

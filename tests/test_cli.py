@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,34 @@ def test_overflowing_db_touchstone_is_data_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"input": str(bad), "preset": "connector"}))
     assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_overflowing_db_touchstone_raises_no_numpy_warning(tmp_path, capsys):
+    bad = tmp_path / "loud.s1p"
+    bad.write_text("# Hz S DB R 50\n1e9 1e6 0\n2e9 0 0\n")
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"input": str(bad), "preset": "connector"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["gate", "--config", cfg, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 3 and "non-finite" in err and "Warning" not in err
+
+
+def test_fourier_response_window_without_samples_is_data_error(tmp_path, capsys):
+    # a 1 um line needs a 0.08 ps response window, under one 1 ps sample
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({
+        "qubit": {"f_q_ghz": 5.0, "dt_ps": 1.0},
+        "model": {"rl_db": 15.0, "length_m": 1e-6, "v_p_over_c": 0.7, "max_reflections": 5},
+        "axis": {"start": 6.0, "stop": 20.0, "count": 2},
+        "duration_ns": 5.0,
+        "pairs": [["X", "Y"]],
+        "method": "fourier",
+    }))
+    code = run(["fidelity", "sweep-rl", "--config", cfg, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 3 and "window_s" in err and "f_max_hz" in err and "Traceback" not in err
 
 
 def test_unknown_preset_is_config_error(tmp_path):

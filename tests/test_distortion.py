@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryocal import (
     DistortionError,
+    GateOp,
     ImpulseResponse,
     MismatchModel,
     PulseWaveform,
+    QubitParams,
     distort,
     distort_with_response,
     impulse_response_fourier,
     impulse_response_taps,
 )
+from cryocal import qubitsim
+from cryocal.distortion import _analytic_signal
 from cryocal.timegate import TimeTrace
 
 C = 299792458.0
@@ -75,6 +80,14 @@ def test_fourier_response_matches_taps():
     # The dc value of the transmission function fixes the total sum exactly.
     r2 = m.alpha * m.beta
     assert np.sum(td.values) == pytest.approx(1.0 / (1.0 - r2), rel=1e-12)
+
+
+def test_fourier_window_without_samples_rejected():
+    # a 1 um line: the response window is 0.08 ps, under one 1 ps sample
+    m = MismatchModel(15.0, 15.0, 1e-6)
+    window = m.transit_s + 8 * (2 * m.length_m / m.v_p)
+    with pytest.raises(DistortionError, match="window_s.*f_max_hz"):
+        impulse_response_fourier(m, 1e12, window)
 
 
 def test_model_validation():
@@ -190,3 +203,69 @@ def test_dt_mismatch_rejected():
     td = impulse_response_fourier(m, 1.0 / (4 * p.dt_s), 3e-8)
     with pytest.raises(DistortionError, match="mismatch"):
         distort_with_response(p, td)
+
+
+def _analytic_oracle(x):
+    """x + i H[x] from the one-sided spectrum by length-n FFTs: dc and, for
+    even n, the Nyquist bin keep unit weight, positive bins double."""
+    n = x.size
+    spec = np.zeros(n, dtype=complex)
+    spec[: n // 2 + 1] = np.fft.rfft(x)
+    spec[1 : (n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec)
+
+
+def _xy_60ns_samples():
+    x = qubitsim._sequence_samples([GateOp("X"), GateOp("Y")], 60e-9, {"X": 1e8, "Y": 1e8}, QubitParams())
+    assert x.size == 240_001
+    return x
+
+
+def assert_matches_analytic_oracle(x):
+    got = _analytic_signal(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(got.real, x)
+    assert np.max(np.abs(got - _analytic_oracle(x))) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 1000, 1001, 20_001, 240_001])
+def test_analytic_signal_matches_length_n_fft_oracle(n):
+    assert_matches_analytic_oracle(np.random.default_rng(n).standard_normal(n))
+
+
+def test_analytic_signal_matches_oracle_on_60ns_xy_drive():
+    assert_matches_analytic_oracle(_xy_60ns_samples())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(2, 512), seed=st.integers(0, 2**32 - 1))
+def test_analytic_signal_matches_oracle_at_every_short_length(n, seed):
+    assert_matches_analytic_oracle(np.random.default_rng(seed).standard_normal(n))
+
+
+def _largest_prime_factor(n):
+    p, largest = 2, 1
+    while n > 1:
+        while n % p == 0:
+            n, largest = n // p, p
+        p += 1
+    return largest
+
+
+def test_analytic_signal_uses_only_fast_fft_lengths(monkeypatch):
+    lengths = []
+
+    def recording(name, default_len):
+        fft = getattr(np.fft, name)
+
+        def wrapped(a, n=None, *args, **kwargs):
+            lengths.append(n if n is not None else default_len(np.shape(a)[-1]))
+            return fft(a, n, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", recording("rfft", lambda m: m))
+    monkeypatch.setattr(np.fft, "irfft", recording("irfft", lambda m: 2 * (m - 1)))
+    monkeypatch.setattr(np.fft, "ifft", recording("ifft", lambda m: m))
+    _analytic_signal(_xy_60ns_samples())
+    assert lengths and max(map(_largest_prime_factor, lengths)) <= 5, lengths
