@@ -146,12 +146,6 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict[str, Path], output
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 _NUMBER = "%.9g"  # 9 significant digits keep the CSVs regression-stable; inf prints as inf
 
 
@@ -169,11 +163,9 @@ def _write_csv(path: Path, header: list[str], *columns):
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_cal(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
+def cmd_cal(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     std_cfg = _get(cfg, "standards", dict)
-    inputs: dict[str, Path] = {"config": Path(args.config)}
+    inputs: dict[str, Path] = {}
     traces = {}
     for std in ("short", "open", "load"):
         block = _get(std_cfg, std, dict, where="standards")
@@ -199,8 +191,7 @@ def cmd_cal(args) -> int:
         out_path.write_text(write_touchstone(corrected))
         outputs.append(out_path)
 
-    _write_manifest(out, "cal", inputs, outputs)
-    return EXIT_OK
+    return inputs, outputs
 
 
 def _gate_from_config(cfg: dict, preset_flag: str | None) -> GateSpec:
@@ -219,9 +210,7 @@ def _gate_from_config(cfg: dict, preset_flag: str | None) -> GateSpec:
     )
 
 
-def cmd_gate(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
+def cmd_gate(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     in_path = _get(cfg, "input", Path)
     gate = _gate_from_config(cfg, args.preset)
     gated = apply_gate(read_touchstone_file(in_path), gate)
@@ -233,13 +222,10 @@ def cmd_gate(args) -> int:
     rl_csv = out / "return_loss.csv"
     _write_csv(rl_csv, ["freq_hz", "s11_mag", "rl_db"], gated.grid.frequencies, mags, rl_db)
 
-    _write_manifest(out, "gate", {"config": Path(args.config), "input": in_path}, [gated_path, rl_csv])
-    return EXIT_OK
+    return {"input": in_path}, [gated_path, rl_csv]
 
 
-def cmd_extract_loss(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
+def cmd_extract_loss(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     in_path = _get(cfg, "input", Path)
     preset = args.preset or _get(cfg, "preset", str, None)
     if preset is None and _get(cfg, "gate", dict, None) is None:
@@ -249,8 +235,7 @@ def cmd_extract_loss(args) -> int:
     s21 = extract_insertion_loss(gated)
     loss_csv = out / "insertion_loss.csv"
     _write_csv(loss_csv, ["freq_hz", "s21_mag", "loss_db"], gated.grid.frequencies, s21, insertion_loss_db(s21))
-    _write_manifest(out, "extract-loss", {"config": Path(args.config), "input": in_path}, [loss_csv])
-    return EXIT_OK
+    return {"input": in_path}, [loss_csv]
 
 
 def _read_ecal_table(path: Path) -> UncertaintyTable:
@@ -270,10 +255,8 @@ def _read_ecal_table(path: Path) -> UncertaintyTable:
     return _build(str(path), UncertaintyTable, *np.array(rows).reshape(-1, 2).T)
 
 
-def cmd_uncertainty(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
-    inputs: dict[str, Path] = {"config": Path(args.config)}
+def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
+    inputs: dict[str, Path] = {}
 
     freqs_ghz = _get(cfg, "frequencies_ghz", [float], list(DEFAULT_TABLE_GHZ))
     if not freqs_ghz:
@@ -315,8 +298,7 @@ def cmd_uncertainty(args) -> int:
         *([getattr(r, k) for r in results] for k in ("s11_linear", "sigma_rss", "rl_db", "upper_db", "lower_db")),
         [format_return_loss(r) for r in results],
     )
-    _write_manifest(out, "uncertainty", inputs, [table_csv])
-    return EXIT_OK
+    return inputs, [table_csv]
 
 
 def _qubit_params(cfg: dict) -> QubitParams:
@@ -364,7 +346,10 @@ def _pairs(cfg: dict) -> tuple[tuple[str, ...], ...]:
 
 
 def _crossing(axis: np.ndarray, dev: np.ndarray, threshold: float) -> float | None:
-    """Log-interpolated axis value where a decreasing deviation crosses threshold."""
+    """Log-interpolated axis value where the deviation, decreasing along the
+    ascending axis, crosses threshold; a descending axis is scanned reversed."""
+    order = np.argsort(axis, kind="stable")
+    axis, dev = axis[order], dev[order]
     with np.errstate(divide="ignore"):
         ld = np.log10(np.maximum(dev, 1e-300))
     lt = math.log10(threshold)
@@ -375,9 +360,7 @@ def _crossing(axis: np.ndarray, dev: np.ndarray, threshold: float) -> float | No
     return None
 
 
-def cmd_fidelity(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
+def cmd_fidelity(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     params = _qubit_params(cfg)
     model = _mismatch_model(_get(cfg, "model", dict))
     axis = _axis(cfg)
@@ -412,13 +395,10 @@ def cmd_fidelity(args) -> int:
         )
         outputs.append(cross_csv)
 
-    _write_manifest(out, f"fidelity {args.mode}", {"config": Path(args.config)}, outputs)
-    return EXIT_OK
+    return {}, outputs
 
 
-def cmd_pulse_synth(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
+def cmd_pulse_synth(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     params = _qubit_params(cfg)
     gate = _build("gate", GateOp, _get(cfg, "gate", str, "X"))
     duration_s = _duration_s(cfg, params)
@@ -430,8 +410,7 @@ def cmd_pulse_synth(args) -> int:
         pulse = distort(pulse, impulse_response_taps(model))
     pulse_csv = out / "pulse.csv"
     _write_csv(pulse_csv, ["time_s", "amplitude"], pulse.times, pulse.samples)
-    _write_manifest(out, "pulse synth", {"config": Path(args.config)}, [pulse_csv])
-    return EXIT_OK
+    return {}, [pulse_csv]
 
 
 # ------------------------------------------------------------------ driver
@@ -445,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cryocal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=False, threads=False):
+    def leaf(parent, name, help, handler, command=None, preset=False, threads=False):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(handler=handler, manifest_command=command or name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         if preset:
@@ -453,31 +434,22 @@ def build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument("--threads", type=int, default=1, help="has no effect: sweeps run in one process")
 
-    common(sub.add_parser("cal", help="solve SOL error model and correct DUT traces"))
-    common(sub.add_parser("gate", help="apply a time gate to a reflection trace"), preset=True)
-    common(sub.add_parser("extract-loss", help="gated insertion loss from a shorted-line reflection"), preset=True)
-    common(sub.add_parser("uncertainty", help="return-loss table with RSS error bars"))
+    leaf(sub, "cal", "solve SOL error model and correct DUT traces", cmd_cal)
+    leaf(sub, "gate", "apply a time gate to a reflection trace", cmd_gate, preset=True)
+    leaf(sub, "extract-loss", "gated insertion loss from a shorted-line reflection", cmd_extract_loss, preset=True)
+    leaf(sub, "uncertainty", "return-loss table with RSS error bars", cmd_uncertainty)
 
     fid = sub.add_parser("fidelity", help="gate-fidelity deviation sweeps")
     fid_sub = fid.add_subparsers(dest="mode", required=True)
-    common(fid_sub.add_parser("sweep-length", help="1-F versus line length"), threads=True)
-    common(fid_sub.add_parser("sweep-rl", help="1-F versus return loss"), threads=True)
+    leaf(fid_sub, "sweep-length", "1-F versus line length", cmd_fidelity, "fidelity sweep-length", threads=True)
+    leaf(fid_sub, "sweep-rl", "1-F versus return loss", cmd_fidelity, "fidelity sweep-rl", threads=True)
 
     pulse = sub.add_parser("pulse", help="pulse utilities")
     pulse_sub = pulse.add_subparsers(dest="mode", required=True)
-    common(pulse_sub.add_parser("synth", help="synthesize a calibrated (optionally distorted) gate pulse"))
+    leaf(pulse_sub, "synth", "synthesize a calibrated (optionally distorted) gate pulse", cmd_pulse_synth, "pulse synth")
 
     return parser
 
-
-_HANDLERS = {
-    "cal": cmd_cal,
-    "gate": cmd_gate,
-    "extract-loss": cmd_extract_loss,
-    "uncertainty": cmd_uncertainty,
-    "fidelity": cmd_fidelity,
-    "pulse": cmd_pulse_synth,
-}
 
 _CONFIG_ERRORS = (ConfigError,)
 _DATA_ERRORS = (TouchstoneParseError, GridError, GateError, UncertaintyError, DistortionError, OSError)
@@ -485,10 +457,16 @@ _NUMERIC_ERRORS = (CalibrationError, SimulationError, FloatingPointError)
 
 
 def main(argv=None) -> int:
+    """Load the config, create ``--out``, run the subcommand's handler and write
+    ``manifest.json`` from the inputs and outputs it returns; errors map to exit codes."""
     args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        cfg = _load_config(args.config)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs, outputs = args.handler(cfg, out, args)
+        _write_manifest(out, args.manifest_command, {"config": Path(args.config), **inputs}, outputs)
+        return EXIT_OK
     except _CONFIG_ERRORS as exc:
         print(f"cryocal: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .timegate import TimeTrace
+from .traces import _freeze
 
 C_VACUUM = 299792458.0
 DEFAULT_VP = 0.7 * C_VACUUM
@@ -158,12 +159,18 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     else:
         h[1 : m + 1 : 2] = 2.0 / (n * np.tan(np.pi / n * np.arange(1, m + 1, 2)))
     h[n - m :] = -h[m:0:-1]
-    size = _fast_len(2 * n - 1)
-    y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)
+    y = _convolve(x, h)
     y[: n - 1] += y[n : 2 * n - 1]
     z = np.empty(n, dtype=complex)
     z.real, z.imag = x, y[:n]
     return z
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two real sequences: one real FFT product at a fast length."""
+    n = a.size + b.size - 1
+    size = _fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def _fast_len(n: int) -> int:
@@ -179,7 +186,6 @@ class PulseWaveform:
     dt_s: float
     samples: np.ndarray
     carrier_hz: float
-    phase_rad: float = 0.0
 
     def __post_init__(self):
         if self.dt_s <= 0:
@@ -194,9 +200,7 @@ class PulseWaveform:
             raise DistortionError("waveform needs at least two samples")
         if not np.all(np.isfinite(v)):
             raise DistortionError("waveform contains non-finite samples")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "samples", v)
+        object.__setattr__(self, "samples", _freeze(v))  # copy after the checks: the mask and copy never coexist
 
     @property
     def duration_s(self) -> float:
@@ -241,7 +245,7 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
             y[m : m + x.size] += amp * np.real(pulse._analytic * rot)
         else:
             y[m : m + x.size] += amp * x
-    return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz, pulse.phase_rad)
+    return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)
 
 
 def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
@@ -255,7 +259,5 @@ def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
-    n = pulse.samples.size + h.values.size - 1
-    size = _fast_len(n)
-    y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]
-    return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz, pulse.phase_rad)
+    y = _convolve(pulse.samples, np.real(h.values))
+    return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)

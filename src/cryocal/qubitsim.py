@@ -25,6 +25,7 @@ import numpy as np
 
 from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, distort
 from .distortion import distort_with_response, impulse_response_fourier, impulse_response_taps
+from .traces import _freeze
 
 
 class SimulationError(RuntimeError):
@@ -88,14 +89,12 @@ class QubitState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex)
+        v = _freeze(self.amplitudes, complex)
         if v.shape != (2,):
             raise SimulationError("state must be a complex 2-vector")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-9:
             raise SimulationError(f"state norm {norm} deviates from 1 beyond 1e-9")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 
 
@@ -156,7 +155,7 @@ def synth_gate_pulse(gate: GateOp, duration_s: float, params: QubitParams, ampli
     else:
         amp = calibrate_amplitude(gate, duration_s, params)
     x = _sequence_samples([gate], duration_s, {gate.kind: amp}, params)
-    return PulseWaveform(params.dt_s / 2.0, x, params.f_q, gate.phase_rad)
+    return PulseWaveform(params.dt_s / 2.0, x, params.f_q)
 
 
 _CHUNK = 1 << 14  # steps reduced per tree; bounds the working set to O(_CHUNK)
@@ -264,10 +263,7 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     unit = synth_gate_pulse(gate, duration_s, params, amplitude=1.0)
     theta = gate.angle_rad
     # rotating-wave estimate: envelope area equals the rotation angle
-    ds = params.dt_s / 2.0
-    n = int(round(duration_s / params.dt_s)) * 2
-    t = ds * np.arange(n + 1)
-    unit_area = float(np.trapezoid(_truncated_gaussian_envelope(t, duration_s), dx=ds))
+    unit_area = float(np.trapezoid(_truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
     est = theta / unit_area
     is_pi = theta > math.pi - 1e-12
     target = math.sin(theta / 2.0) ** 2
@@ -316,14 +312,12 @@ class FidelitySweepResult:
     pulse_duration_s: float
 
     def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float)
-        d = np.asarray(self.deviation, dtype=float)
+        a = _freeze(self.axis, float)
+        d = _freeze(self.deviation, float)
         if d.shape != (a.size, len(self.pairs)):
             raise SimulationError("deviation shape does not match axis/pairs")
         if np.any(d < -1e-12) or np.any(d > 1.0 + 1e-12):
             raise SimulationError("fidelity deviation outside [0, 1]")
-        a.setflags(write=False)
-        d.setflags(write=False)
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "deviation", d)
 
@@ -389,7 +383,7 @@ def _pad(wf: PulseWaveform, n: int) -> PulseWaveform:
         return wf
     padded = np.zeros(n)
     padded[: wf.samples.size] = wf.samples
-    return PulseWaveform(wf.dt_s, padded, wf.carrier_hz, wf.phase_rad)
+    return PulseWaveform(wf.dt_s, padded, wf.carrier_hz)
 
 
 def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweepResult:
@@ -397,7 +391,7 @@ def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweep
     amplitudes = calibrated_amplitudes(kinds, duration_s, params)
     rows = [run_allxy(m, duration_s, params, pairs, method, amplitudes) for m in models]
     return FidelitySweepResult(
-        axis=np.asarray(axis, dtype=float),
+        axis=axis,
         pairs=tuple(tuple(p) for p in pairs),
         deviation=np.array(rows),
         pulse_duration_s=duration_s,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import ComplexTrace, FrequencyGrid, require_same_grid
+from .traces import ComplexTrace, FrequencyGrid, _freeze, require_same_grid
 
 # Minimum pairwise separation of the defined standards; below this the
 # per-frequency system is singular.
@@ -45,13 +45,14 @@ class StandardsSet:
     def __post_init__(self):
         ref = self.defined_short
         for name in (
+            "defined_short",
             "defined_open",
             "defined_load",
             "measured_short",
             "measured_open",
             "measured_load",
         ):
-            require_same_grid(ref.grid, getattr(self, name).grid, f"defined_short/{name}")
+            require_same_grid(ref.grid, getattr(self, name), f"standard {name}")
         pairs = [
             (self.defined_short, self.defined_open),
             (self.defined_short, self.defined_load),
@@ -83,12 +84,11 @@ class ErrorModelOnePort:
 
     def __post_init__(self):
         for name in ("e00", "e11", "delta_e"):
-            v = np.asarray(getattr(self, name), dtype=complex)
+            v = _freeze(getattr(self, name), complex)
             if v.shape != (self.grid.count,):
                 raise CalibrationError(f"{name} length != grid count")
             if not np.all(np.isfinite(v)):
                 raise CalibrationError(f"{name} contains non-finite values")
-            v.setflags(write=False)
             object.__setattr__(self, name, v)
         tracking = self.e00 * self.e11 - self.delta_e
         if np.any(np.abs(tracking) == 0.0):
@@ -132,7 +132,7 @@ def solve_error_model(standards: StandardsSet) -> ErrorModelOnePort:
 
 def forward_model(model: ErrorModelOnePort, true_gamma: ComplexTrace) -> ComplexTrace:
     """Synthesize the raw measurement of a known reflection through the error box."""
-    require_same_grid(model.grid, true_gamma.grid, "error model/true gamma")
+    require_same_grid(model.grid, true_gamma, "true gamma")
     g = true_gamma.values
     denom = 1.0 - model.e11 * g
     bad = np.flatnonzero(np.abs(denom) <= 1e-15)
@@ -145,7 +145,7 @@ def forward_model(model: ErrorModelOnePort, true_gamma: ComplexTrace) -> Complex
 
 def apply_correction(model: ErrorModelOnePort, raw_dut: ComplexTrace) -> ComplexTrace:
     """Correct a raw DUT reflection measurement: G = (m - e00) / (m*e11 - de)."""
-    require_same_grid(model.grid, raw_dut.grid, "error model/raw DUT")
+    require_same_grid(model.grid, raw_dut, "raw DUT")
     m = raw_dut.values
     denom = m * model.e11 - model.delta_e
     bad = np.flatnonzero(np.abs(denom) < 1e-15)

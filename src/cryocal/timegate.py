@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import ComplexTrace, GridError
+from .traces import ComplexTrace, _freeze
 
 DEFAULT_KAISER_BETA = 6.0
 MIN_POINTS = 16
@@ -66,10 +66,9 @@ class TimeTrace:
     def __post_init__(self):
         if not (self.dt_s > 0):
             raise GateError(f"dt_s must be > 0, got {self.dt_s}")
-        v = np.array(self.values)
+        v = _freeze(self.values)
         if v.ndim != 1 or v.size < 2:
             raise GateError("time trace needs at least two samples")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -89,7 +88,7 @@ def _check_transformable(trace: ComplexTrace):
         raise GateError(f"need at least {MIN_POINTS} frequency points")
 
 
-def _full_spectrum(trace: ComplexTrace) -> tuple[np.ndarray, int]:
+def _full_spectrum(trace: ComplexTrace) -> np.ndarray:
     """One-sided spectrum on bins 0..n_end of step_hz, dc bins filled."""
     grid = trace.grid
     n0 = int(round(grid.start_hz / grid.step_hz))
@@ -97,7 +96,7 @@ def _full_spectrum(trace: ComplexTrace) -> tuple[np.ndarray, int]:
     spec = np.empty(n_end + 1, dtype=complex)
     spec[:n0] = trace.values[0]  # nearest-neighbour extrapolation to dc
     spec[n0:] = trace.values
-    return spec, n0
+    return spec
 
 
 def to_time_domain(trace: ComplexTrace) -> TimeTrace:
@@ -108,7 +107,7 @@ def to_time_domain(trace: ComplexTrace) -> TimeTrace:
     appear at the end of the record.
     """
     _check_transformable(trace)
-    spec, _ = _full_spectrum(trace)
+    spec = _full_spectrum(trace)
     n_full = 2 * (spec.size - 1)
     h = np.fft.irfft(spec, n=n_full)
     dt = 1.0 / (n_full * trace.grid.step_hz)
@@ -131,15 +130,12 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
     mid-band amplitude. With ``splice_below_cutoff`` the original ungated
     data replaces all points strictly below 1/span.
     """
-    _check_transformable(trace)
-    spec, n0 = _full_spectrum(trace)
-    n_full = 2 * (spec.size - 1)
-    h = np.fft.irfft(spec, n=n_full)
-    dt = 1.0 / (n_full * trace.grid.step_hz)
+    h = to_time_domain(trace)
+    n_full = h.values.size
 
     # circular time axis: second half of the record is negative delay
     k = np.arange(n_full)
-    t = np.where(k < n_full // 2, k, k - n_full) * dt
+    t = np.where(k < n_full // 2, k, k - n_full) * h.dt_s
 
     half_span = t[n_full // 2]  # most negative representable delay
     t_max = t[n_full // 2 - 1]
@@ -155,8 +151,7 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
     if not np.any(w > 0):
         raise GateError("gate window does not overlap any time sample")
 
-    gated_full = np.fft.rfft(h * w, n=n_full)
-    gated = gated_full[n0 : n0 + trace.grid.count]
+    gated = np.fft.rfft(h.values * w, n=n_full)[-trace.grid.count :]  # bins 0..n_end: the measured ones last
 
     if gate.splice_below_cutoff:
         freqs = trace.grid.frequencies
@@ -182,5 +177,6 @@ def extract_insertion_loss(gated_short_reflection: ComplexTrace) -> np.ndarray:
 
 
 def insertion_loss_db(s21_linear: np.ndarray) -> np.ndarray:
-    """Insertion loss in dB, -20 log10 |S21|."""
-    return -20.0 * np.log10(s21_linear)
+    """Insertion loss in dB, -20 log10 |S21|; a zero |S21| gives inf, silently."""
+    with np.errstate(divide="ignore"):
+        return -20.0 * np.log10(s21_linear)

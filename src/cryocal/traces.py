@@ -19,8 +19,8 @@ class GridError(ValueError):
     """Raised when a grid invariant is violated or two grids mismatch."""
 
 
-def _freeze(a: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _freeze(a, dtype=None) -> np.ndarray:
+    out = np.array(a, dtype=dtype)  # a copy: the caller's array stays writeable
     out.setflags(write=False)
     return out
 
@@ -40,10 +40,6 @@ class FrequencyGrid:
             raise GridError(f"start_hz must be > 0, got {self.start_hz}")
         if self.count < 2:
             raise GridError(f"count must be >= 2, got {self.count}")
-
-    @property
-    def stop_hz(self) -> float:
-        return self.start_hz + (self.count - 1) * self.step_hz
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -80,12 +76,16 @@ class FrequencyGrid:
         return cls(start_hz=float(f[0]), step_hz=float(step), count=int(f.size)), uniform
 
 
-def require_same_grid(a: FrequencyGrid, b: FrequencyGrid, what: str = "traces"):
-    """Raise GridError unless the two grids are identical (same start, step, count).
+def require_same_grid(a: FrequencyGrid, trace: ComplexTrace, what: str = "trace"):
+    """Raise GridError unless the trace is uniform and its grid identical to ``a``.
 
-    Downstream operations require identical grids; there is deliberately no
-    interpolation path anywhere in the package.
+    Values are paired by index, so grids must match (same start, step, count)
+    and a non-uniform trace, whose fitted grid hides its actual frequencies, is
+    rejected; there is deliberately no interpolation path in the package.
     """
+    if not trace.uniform:
+        raise GridError(f"{what}: non-uniform frequency grid; values are paired by index")
+    b = trace.grid
     rel = 1e-12
     same = (
         a.count == b.count
@@ -94,8 +94,8 @@ def require_same_grid(a: FrequencyGrid, b: FrequencyGrid, what: str = "traces"):
     )
     if not same:
         raise GridError(
-            f"grid mismatch between {what}: "
-            f"({a.start_hz}, {a.step_hz}, {a.count}) vs "
+            f"grid mismatch in {what}: expected "
+            f"({a.start_hz}, {a.step_hz}, {a.count}), got "
             f"({b.start_hz}, {b.step_hz}, {b.count})"
         )
 
@@ -105,9 +105,9 @@ class ComplexTrace:
     """One complex S-parameter value per grid point.
 
     When ``uniform`` is False the trace came from a non-uniform file; the
-    actual frequencies are then kept in ``freq_hz_raw`` and the grid is the
-    least-squares uniform fit. Non-uniform traces are accepted by I/O but
-    rejected by the time-domain module.
+    actual frequencies are then kept in ``freq_hz_raw`` and the grid runs
+    uniformly through the first and last points. Such traces are accepted by
+    I/O but rejected by the time-domain module and by ``require_same_grid``.
     """
 
     grid: FrequencyGrid

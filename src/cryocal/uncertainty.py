@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import ComplexTrace, require_same_grid
+from .traces import ComplexTrace, _freeze, require_same_grid
 
 
 class UncertaintyError(ValueError):
@@ -27,8 +27,8 @@ class UncertaintyTable:
     sigma_linear: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.s11_db, dtype=float)
-        y = np.asarray(self.sigma_linear, dtype=float)
+        x = _freeze(self.s11_db, float)
+        y = _freeze(self.sigma_linear, float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise UncertaintyError("table needs matching 1-d columns with >= 2 rows")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -38,8 +38,6 @@ class UncertaintyTable:
             raise UncertaintyError("s11_db column must be strictly monotonic")
         if np.any(y <= 0):
             raise UncertaintyError("sigma_linear entries must be > 0")
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "s11_db", x)
         object.__setattr__(self, "sigma_linear", y)
 
@@ -147,8 +145,8 @@ def switch_stats(traces: list[ComplexTrace]) -> tuple[np.ndarray, np.ndarray]:
     if len(traces) < 2:
         raise UncertaintyError("need at least two traces")
     ref = traces[0]
-    for tr in traces[1:]:
-        require_same_grid(ref.grid, tr.grid, "switch traces")
+    for tr in traces:
+        require_same_grid(ref.grid, tr, "switch trace")
     mags = np.stack([np.abs(tr.values) for tr in traces])
     sigma_var = np.std(mags, axis=0, ddof=0)
     sigma_rep = np.mean(np.abs(mags[1:] - mags[0]), axis=0)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -470,6 +471,10 @@ def run_config(argv, cfg, work):
 def test_small_configs_are_valid(valid, name, tmp_path):
     argv, cfg = valid[1][name]
     assert run_config(argv, cfg, tmp_path) == (0, "")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    config = tmp_path / "config.json"
+    assert manifest["command"] == " ".join(argv)
+    assert manifest["inputs"]["config"] == {"path": str(config), "sha256": hashlib.sha256(config.read_bytes()).hexdigest()}
 
 
 # (subcommand, key path, bad value, text the message must contain)
@@ -719,3 +724,55 @@ def test_two_pair_sweep_rows_follow_the_in_process_result(tmp_path):
     assert np.all(result.deviation < min(CROSSING_THRESHOLDS))  # so no threshold is crossed
     cross = (tmp_path / "out" / "crossings.csv").read_text().splitlines()
     assert cross[1:] == ["%s,%.9g," % ("".join(pair), thr) for pair in pairs for thr in CROSSING_THRESHOLDS]
+
+
+def write_moved(path, trace, moved):
+    """Write the trace, with its 6 GHz record moved to 6.5 GHz if ``moved``.
+
+    First point, last point and count stay, so the fitted grid does too.
+    """
+    if moved:
+        f = trace.grid.frequencies
+        f[5] = 6.5e9
+        trace = ComplexTrace(trace.grid, trace.values, uniform=False, freq_hz_raw=f)
+    return write_trace(path, trace)
+
+
+@pytest.mark.parametrize("moved", ["dut", "all"])
+def test_cal_non_uniform_trace_is_data_error(tmp_path, moved):
+    grid = aligned_grid(start_hz=1e9, step_hz=1e9, count=16)
+    box = constant_error_model(grid, 0.1 + 0.02j, 0.2 - 0.05j, -0.79 + 0.01j)
+    standards = {}
+    for name, gamma in (("short", -1.0), ("open", 1.0), ("load", 0.001)):
+        tr = ComplexTrace(grid=grid, values=np.full(grid.count, gamma + 0j))
+        standards[name] = {
+            "defined": write_moved(tmp_path / f"{name}_def.s1p", tr, moved == "all"),
+            "measured": write_moved(tmp_path / f"{name}_meas.s1p", forward_model(box, tr), moved == "all"),
+        }
+    dut = ComplexTrace(grid=grid, values=np.full(grid.count, 0.3 + 0j))
+    dut_path = write_moved(tmp_path / "dut.s1p", forward_model(box, dut), True)
+    code, err = run_config(["cal"], {"standards": standards, "duts": [dut_path]}, tmp_path)
+    assert code == 3 and "non-uniform" in err and "Traceback" not in err, err
+
+
+def test_descending_rl_axis_gives_the_same_crossings(tmp_path):
+    crossings = []
+    for start, stop in ((6, 20), (20, 6)):  # count 8: exact 2 dB steps either way
+        work = tmp_path / f"{start}-{stop}"
+        work.mkdir()
+        cfg = {"model": {"length_m": 0.276}, "axis": {"start": start, "stop": stop, "count": 8}, "duration_ns": 5}
+        assert run_config(["fidelity", "sweep-rl"], cfg, work) == (0, "")
+        crossings.append((work / "out" / "crossings.csv").read_bytes())
+    assert crossings[0] == crossings[1]
+    assert not any(line.endswith(b",") for line in crossings[0].splitlines())  # both thresholds crossed
+
+
+def test_extract_loss_of_zero_reflection_is_infinite_without_warning(tmp_path):
+    grid = aligned_grid()
+    in_path = write_trace(tmp_path / "zero.s1p", ComplexTrace(grid=grid, values=np.zeros(grid.count)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_config(["extract-loss"], {"input": in_path}, tmp_path)
+    assert code == 0 and "Warning" not in err, err
+    lines = (tmp_path / "out" / "insertion_loss.csv").read_text().splitlines()
+    assert lines[1:] == [f"{'%.9g' % f},0,inf" for f in grid.frequencies]

@@ -395,3 +395,17 @@ def test_phase_interference_cases():
     assert phase_interference(1.0, 0.1, 0.0, math.pi) == pytest.approx(0.0)
     with pytest.raises(SimulationError):
         phase_interference(0.0, 0.0, 0.0, 0.0)
+
+
+def test_frozen_results_leave_the_callers_arrays_writeable():
+    from cryocal import ErrorModelOnePort, FrequencyGrid, UncertaintyTable
+
+    terms = [np.full(3, v) for v in (0.1 + 0j, 0.2 + 0j, -0.79 + 0j)]
+    model = ErrorModelOnePort(FrequencyGrid(1e9, 1e9, 3), *terms)
+    columns = [np.array([0.0, 50.0]), np.array([0.002, 0.004])]
+    table = UncertaintyTable(*columns)
+    rls = np.array([30.0, 40.0])
+    result = sweep_return_loss(MismatchModel(15.0, 15.0, 0.276), rls, 5e-9, PARAMS)
+    assert all(a.flags.writeable for a in [*terms, *columns, rls])
+    frozen = [model.e00, model.e11, model.delta_e, table.s11_db, table.sigma_linear, result.axis, result.deviation]
+    assert not any(a.flags.writeable for a in frozen)

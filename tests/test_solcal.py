@@ -132,3 +132,30 @@ def test_singular_system_names_frequency(small_grid):
                 measured_load=same_meas,
             )
         )
+
+
+def moved_point(trace: ComplexTrace) -> ComplexTrace:
+    """The trace with its sixth point's actual frequency moved half a step up.
+
+    First point, last point and count are unchanged, so the fitted grid is the
+    original one; only ``uniform`` and the raw frequencies tell them apart.
+    """
+    f = trace.grid.frequencies
+    f[5] += 0.5 * trace.grid.step_hz
+    return ComplexTrace(trace.grid, trace.values, uniform=False, freq_hz_raw=f)
+
+
+def test_non_uniform_trace_rejected(small_grid):
+    from cryocal import GridError
+
+    model = constant_error_model(small_grid, 0.1, 0.2, 0.1 * 0.2 - 0.81)
+    defs = ideal_standards(small_grid)
+    traces = {f"defined_{k}": v for k, v in defs.items()}
+    traces.update({f"measured_{k}": forward_model(model, v) for k, v in defs.items()})
+    for name in traces:
+        with pytest.raises(GridError, match="non-uniform"):
+            StandardsSet(**dict(traces, **{name: moved_point(traces[name])}))
+    with pytest.raises(GridError, match="non-uniform"):
+        forward_model(model, moved_point(defs["open"]))
+    with pytest.raises(GridError, match="non-uniform"):
+        apply_correction(model, moved_point(forward_model(model, defs["open"])))

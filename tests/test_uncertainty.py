@@ -124,3 +124,17 @@ def test_s21_uncertainty_symmetric_in_linear():
     assert low == pytest.approx(20 * math.log10(1.02))
     up0, low0 = s21_uncertainty(0.9, 0.0, 0.0)
     assert up0 == 0.0 and low0 == 0.0
+
+
+def test_switch_stats_rejects_non_uniform_trace():
+    from cryocal import GridError
+
+    grid = aligned_grid(count=5)
+    a = ComplexTrace(grid=grid, values=np.full(5, 0.01 + 0j))
+    f = grid.frequencies
+    f[2] += 0.5 * grid.step_hz  # same fitted grid, different actual frequencies
+    moved = ComplexTrace(grid, a.values, uniform=False, freq_hz_raw=f)
+    for traces in ([a, moved], [moved, a]):
+        with pytest.raises(GridError, match="non-uniform"):
+            switch_stats(traces)
+
