@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,35 +142,52 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     """x + i H[x], H the one-sided-spectrum Hilbert transform at the input's
     own length n (Marple, IEEE Trans. Signal Process. 47(9), 1999).
 
-    H is the length-n circular convolution with the closed-form odd kernel
-    h[d] = -tan(pi d/2n)/n (even d), cot(pi d/2n)/n (odd d) for odd n and
-    2 cot(pi d/n)/n (odd d), 0 (even d) for even n. It is computed as one
-    linear convolution at a fast FFT length >= 2n - 1 and folded back onto n
-    samples (Bluestein, IEEE Trans. Audio Electroacoust. 18, 451, 1970), so
-    the transform is the length-n one, not that of a padded signal.
+    H is the length-n circular convolution with a closed-form odd kernel
+    (:func:`_hilbert_spectrum`), computed as one linear convolution with the
+    centred kernel at a fast FFT length M >= 2n - 1 (Bluestein, IEEE Trans.
+    Audio Electroacoust. 18, 451, 1970), so the transform is the length-n
+    one, not that of a padded signal. The kernel's spectrum depends on n
+    alone and is cached, so each signal costs two real FFTs.
     """
     n = x.size
-    m = (n - 1) // 2  # h[n - d] = -h[d]: only d <= m is evaluated, at angles below pi/2
-    h = np.zeros(n)
-    if n % 2:
-        t = np.tan(np.pi / (2 * n) * np.arange(1, m + 1))
-        h[1 : m + 1 : 2] = 1.0 / (n * t[::2])
-        h[2 : m + 1 : 2] = -t[1::2] / n
-    else:
-        h[1 : m + 1 : 2] = 2.0 / (n * np.tan(np.pi / n * np.arange(1, m + 1, 2)))
-    h[n - m :] = -h[m:0:-1]
-    y = _convolve(x, h)
-    y[: n - 1] += y[n : 2 * n - 1]
+    size = _fast_len(2 * n - 1)
+    kernel = _hilbert_spectrum(n, size)  # first, so building it overlaps no buffer of x
+    spec = np.fft.rfft(x, size)
+    spec *= kernel
+    spec *= 1j  # the odd kernel's spectrum is purely imaginary
+    hx = np.fft.irfft(spec, size)
+    del spec  # at most two M-point buffers live at once
     z = np.empty(n, dtype=complex)
-    z.real, z.imag = x, y[:n]
+    z.real, z.imag = x, hx[:n]
     return z
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of two real sequences: one real FFT product at a fast length."""
-    n = a.size + b.size - 1
-    size = _fast_len(n)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+@lru_cache(maxsize=2)
+def _hilbert_spectrum(n: int, size: int) -> np.ndarray:
+    """Imaginary part of the length-``size`` real FFT of the centred Hilbert
+    kernel of length n, read-only; its real part vanishes because the kernel is odd.
+
+    The circular kernel is h[d] = -tan(pi d/2n)/n (even d), cot(pi d/2n)/n
+    (odd d) for odd n and 2 cot(pi d/n)/n (odd d), 0 (even d) for even n, with
+    h[n - d] = -h[d]. Centred on d = -(n-1) .. n-1 and wrapped onto ``size``
+    >= 2n - 1 samples, its linear convolution with x gives the circular one
+    in the first n output samples, with no fold.
+    """
+    m = (n - 1) // 2  # only d <= m is evaluated, at angles below pi/2
+    g = np.zeros(size)
+    if n % 2:
+        t = np.tan(np.pi / (2 * n) * np.arange(1, m + 1))
+        g[1 : m + 1 : 2] = 1.0 / (n * t[::2])
+        g[2 : m + 1 : 2] = -t[1::2] / n
+    else:
+        g[1 : m + 1 : 2] = 2.0 / (n * np.tan(np.pi / n * np.arange(1, m + 1, 2)))
+    g[n - m : n] = -g[m:0:-1]
+    g[size - n + 1 :] = -g[n - 1 : 0 : -1]
+    full = np.fft.rfft(g)
+    del g  # at most two M-point buffers live at once
+    spectrum = full.imag.copy()
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _fast_len(n: int) -> int:
@@ -237,14 +254,18 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
         shifts.append((m, eps, amp))
         max_shift = max(max_shift, m)
 
-    n_out = x.size + max_shift
-    y = np.zeros(n_out)
+    # H[x] before the output: the transform's buffers never coexist with it
+    hx = pulse._analytic.imag if any(abs(eps) > 1e-18 for _, eps, _ in shifts) else None
+    y = np.zeros(x.size + max_shift)
     for m, eps, amp in shifts:
+        seg = y[m : m + x.size]
         if abs(eps) > 1e-18:
-            rot = np.exp(-2j * math.pi * pulse.carrier_hz * eps)
-            y[m : m + x.size] += amp * np.real(pulse._analytic * rot)
+            # Re((x + i H[x]) exp(-i theta)), theta = 2 pi f eps, in real arithmetic
+            theta = 2.0 * math.pi * pulse.carrier_hz * eps
+            seg += (amp * math.cos(theta)) * x
+            seg += (amp * math.sin(theta)) * hx
         else:
-            y[m : m + x.size] += amp * x
+            seg += amp * x
     return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)
 
 
@@ -253,11 +274,14 @@ def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
 
     Requires matching sample intervals. Because the sampled response is the
     band-limited image of the tap ladder, plain sample-by-sample
-    convolution reproduces fractional tap delays automatically.
+    convolution reproduces fractional tap delays automatically. It is one
+    real FFT product at a fast length.
     """
     if abs(h.dt_s - pulse.dt_s) > 1e-15 * pulse.dt_s:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
-    y = _convolve(pulse.samples, np.real(h.values))
+    n = pulse.samples.size + h.values.size - 1
+    size = _fast_len(n)
+    y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]
     return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)

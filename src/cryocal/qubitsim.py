@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,20 +123,27 @@ def _sequence_samples(
     amplitudes: dict[str, float],
     params: QubitParams,
 ) -> np.ndarray:
-    """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier."""
+    """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier.
+
+    Every gate shares one envelope. Its carrier cos(w_q t + phi) is built in
+    blocks of the carrier table's length: from block start t_b on it is
+    Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
+    large argument.
+    """
     ds = params.dt_s / 2.0
     n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate
-    total = n_gate * len(gates) + 1
-    t = ds * np.arange(total)
-    x = np.zeros(total)
+    x = np.zeros(n_gate * len(gates) + 1)
+    env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
+    table = _carrier_table(params.omega_q, ds, 2)  # two samples per step: the table evolve uses for these
     for i, gate in enumerate(gates):
         if gate.kind == "I":
             continue
-        t0 = i * duration_s
-        seg = slice(i * n_gate, (i + 1) * n_gate + 1)
-        ts = t[seg]
-        env = amplitudes[gate.kind] * _truncated_gaussian_envelope(ts - t0, duration_s)
-        x[seg] += env * np.cos(params.omega_q * ts + gate.phase_rad)
+        amp = amplitudes[gate.kind]
+        for b in range(0, n_gate + 1, table.size):
+            c = table[: min(table.size, n_gate + 1 - b)]
+            j0 = i * n_gate + b
+            psi = params.omega_q * (ds * j0) + gate.phase_rad
+            x[j0 : j0 + c.size] += (amp * env[b : b + c.size]) * (math.cos(psi) * c.real - math.sin(psi) * c.imag)
     return x
 
 
@@ -159,6 +167,15 @@ def synth_gate_pulse(gate: GateOp, duration_s: float, params: QubitParams, ampli
 
 
 _CHUNK = 1 << 14  # steps reduced per tree; bounds the working set to O(_CHUNK)
+
+
+@lru_cache(maxsize=2)
+def _carrier_table(omega_q: float, ds: float, m: int) -> np.ndarray:
+    """exp(i w_q ds j) for j = 0 .. _CHUNK * m, read-only: the carrier of one
+    chunk of steps of m samples each, shared by every chunk and every call."""
+    table = np.exp(1j * omega_q * (ds * np.arange(_CHUNK * m + 1)))
+    table.setflags(write=False)
+    return table
 
 
 def _compose(a2, b2, a1, b1):
@@ -206,8 +223,9 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     2x2 matrix of its three drive samples. All step matrices of a chunk of
     2**14 steps are built at once and multiplied pairwise (later @ earlier)
     down to one matrix; the chunk products are folded in time order and
-    applied to the input state once. Raises if the norm drifts by more than
-    1e-6.
+    applied to the input state once. Steps that start after the last
+    nonzero sample see no drive and are exact identities, so they are
+    skipped. Raises if the norm drifts by more than 1e-6.
     """
     ratio = params.dt_s / waveform.dt_s
     m = int(round(ratio))
@@ -220,16 +238,18 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
         raise SimulationError(f"odd subdivision {m} of the integrator step has no RK4 midpoint sample")
     x = waveform.samples
     n_steps = (x.size - 1) // m
+    last = x.size - 1 - int(np.argmax(x[::-1] != 0))  # the last nonzero sample, if any
+    n_driven = min(n_steps, last // m + 1) if x[last] else 0
     w = params.omega_q
     h = params.dt_s
 
     # drive in the interaction picture: u_j = x_j * exp(i w t_j); the carrier
     # over one chunk is shared by all chunks, each rotated by its start phase
     ds = waveform.dt_s
-    carrier = np.exp(1j * w * (ds * np.arange(min(n_steps, _CHUNK) * m + 1)))
+    carrier = _carrier_table(w, ds, m)
     alpha, beta = 1.0 + 0.0j, 0.0j
-    for s0 in range(0, n_steps, _CHUNK):
-        j0, j1 = s0 * m, min(s0 + _CHUNK, n_steps) * m
+    for s0 in range(0, n_driven, _CHUNK):
+        j0, j1 = s0 * m, min(s0 + _CHUNK, n_driven) * m
         u = x[j0 : j1 + 1] * (cmath.exp(1j * w * (ds * j0)) * carrier[: j1 - j0 + 1])
         u0, u1 = u[:-1:m], u[m::m]
         um = 0.5 * (u0 + u1) if m == 1 else u[m // 2 :: m]
@@ -353,6 +373,9 @@ def run_allxy(
     kinds = {k for pair in pairs for k in pair}
     if amplitudes is None:
         amplitudes = calibrated_amplitudes(kinds, duration_s, params)
+    missing = sorted(kinds - {"I"} - amplitudes.keys())
+    if missing:
+        raise SimulationError(f"amplitudes has no entry for gate {', '.join(missing)}")
 
     taps = impulse_response_taps(model)
     response = None
@@ -362,13 +385,13 @@ def run_allxy(
         f_max = 1.0 / (params.dt_s)  # waveform sampled at dt/2
         response = impulse_response_fourier(model, f_max, window)
 
+    direct = ImpulseResponse(taps=taps.taps[:1], normalized=taps.normalized)
     out = []
     for gates in sequences:
-        x = _sequence_samples(gates, duration_s, amplitudes, params)
-        wf = PulseWaveform(params.dt_s / 2.0, x, params.f_q)
-        direct = ImpulseResponse(taps=taps.taps[:1], normalized=taps.normalized)
-        ref_wf = distort(wf, direct)
+        wf = PulseWaveform(params.dt_s / 2.0, _sequence_samples(gates, duration_s, amplitudes, params), params.f_q)
         dist_wf = distort_with_response(wf, response) if method == "fourier" else distort(wf, taps)
+        ref_wf = distort(wf, direct)
+        del wf  # with its analytic signal, before the padded copies below
         # evolve over a common horizon so lab-frame phases cancel in the overlap
         n = max(ref_wf.samples.size, dist_wf.samples.size)
         ref_wf = _pad(ref_wf, n)
@@ -387,6 +410,8 @@ def _pad(wf: PulseWaveform, n: int) -> PulseWaveform:
 
 
 def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweepResult:
+    if not models:
+        raise SimulationError("sweep axis is empty")
     kinds = {k for pair in pairs for k in pair}
     amplitudes = calibrated_amplitudes(kinds, duration_s, params)
     rows = [run_allxy(m, duration_s, params, pairs, method, amplitudes) for m in models]

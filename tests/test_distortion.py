@@ -252,20 +252,36 @@ def _largest_prime_factor(n):
     return largest
 
 
-def test_analytic_signal_uses_only_fast_fft_lengths(monkeypatch):
-    lengths = []
+def _record_ffts(monkeypatch):
+    """(name, length) of every numpy FFT called from now on."""
+    calls = []
 
     def recording(name, default_len):
         fft = getattr(np.fft, name)
 
         def wrapped(a, n=None, *args, **kwargs):
-            lengths.append(n if n is not None else default_len(np.shape(a)[-1]))
+            calls.append((name, n if n is not None else default_len(np.shape(a)[-1])))
             return fft(a, n, *args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(np.fft, "rfft", recording("rfft", lambda m: m))
-    monkeypatch.setattr(np.fft, "irfft", recording("irfft", lambda m: 2 * (m - 1)))
-    monkeypatch.setattr(np.fft, "ifft", recording("ifft", lambda m: m))
+    for name, default_len in [("fft", lambda m: m), ("ifft", lambda m: m), ("rfft", lambda m: m),
+                              ("irfft", lambda m: 2 * (m - 1))]:
+        monkeypatch.setattr(np.fft, name, recording(name, default_len))
+    return calls
+
+
+def test_analytic_signal_uses_only_fast_fft_lengths(monkeypatch):
+    calls = _record_ffts(monkeypatch)
     _analytic_signal(_xy_60ns_samples())
-    assert lengths and max(map(_largest_prime_factor, lengths)) <= 5, lengths
+    assert calls and max(_largest_prime_factor(n) for _, n in calls) <= 5, calls
+
+
+def test_analytic_signal_at_a_seen_length_runs_two_fast_real_ffts(monkeypatch):
+    # the Hilbert kernel's spectrum depends on the length alone and is built once
+    x = _xy_60ns_samples()
+    _analytic_signal(x)
+    calls = _record_ffts(monkeypatch)
+    _analytic_signal(x)
+    assert [name for name, _ in calls] == ["rfft", "irfft"], calls
+    assert max(_largest_prime_factor(n) for _, n in calls) <= 5, calls

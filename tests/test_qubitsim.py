@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,12 +198,70 @@ def test_evolve_matches_rk4_oracle_at_chunk_edges(n_steps):
     assert_matches_oracle(QubitState(np.array([1.0, 1.0j]) / math.sqrt(2)), _beating_drive(n_steps))
 
 
+def _drive_ending_at(last, n_steps):
+    """The beating drive with every sample after index ``last`` set to zero."""
+    wf = _beating_drive(n_steps)
+    x = wf.samples.copy()
+    x[last + 1 :] = 0.0
+    return PulseWaveform(wf.dt_s, x, wf.carrier_hz)
+
+
+@pytest.mark.parametrize(
+    "last, n_steps",
+    [(2 * 700, 1000), (2 * qubitsim._CHUNK, qubitsim._CHUNK + 300), (-1, 1000)],
+    ids=["at-a-step-start", "at-a-chunk-edge", "all-zero"],
+)
+def test_evolve_skips_the_zero_tail_exactly(last, n_steps):
+    # every step after the last nonzero sample is the identity; the step
+    # that starts at it is not, even when it is alone in its chunk
+    wf = _drive_ending_at(last, n_steps)
+    assert last < 0 or wf.samples[last] != 0.0
+    assert_matches_oracle(QubitState(np.array([1.0, 1.0j]) / math.sqrt(2)), wf)
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_odd_subdivision_rejected(m):
     # an odd subdivision has no sample at the RK4 midpoint t + dt/2
     wf = PulseWaveform(PARAMS.dt_s / m, np.zeros(10 * m + 1), PARAMS.f_q)
     with pytest.raises(SimulationError, match="odd subdivision"):
         evolve(GROUND, wf, PARAMS)
+
+
+# -------------------------------------------------------------- synthesis
+
+
+def _direct_sequence(gates, duration_s, amplitudes):
+    """amp * env(t - t0) * cos(w_q t + phi) per gate, each cosine at its full argument."""
+    n_gate = int(round(duration_s / PARAMS.dt_s)) * 2
+    t = PARAMS.dt_s / 2 * np.arange(n_gate * len(gates) + 1)
+    x = np.zeros(t.size)
+    for i, gate in enumerate(gates):
+        if gate.kind != "I":
+            seg = slice(i * n_gate, (i + 1) * n_gate + 1)
+            env = qubitsim._truncated_gaussian_envelope(t[seg] - i * duration_s, duration_s)
+            x[seg] += amplitudes[gate.kind] * env * np.cos(PARAMS.omega_q * t[seg] + gate.phase_rad)
+    return x
+
+
+def assert_matches_direct_sequence(gates, duration_s, amplitudes):
+    got = qubitsim._sequence_samples(gates, duration_s, amplitudes, PARAMS)
+    want = _direct_sequence(gates, duration_s, amplitudes)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(amplitudes.values())
+    return got
+
+
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
+@pytest.mark.parametrize("kind", qubitsim.ALLXY_GATES)
+def test_sequence_samples_match_the_direct_carrier(kind, duration_s):
+    got = assert_matches_direct_sequence([GateOp(kind)], duration_s, {kind: 3e8})
+    assert np.any(got) == (kind != "I")
+
+
+def test_sequence_samples_match_the_direct_carrier_over_many_table_blocks():
+    # each 60 ns gate spans several carrier-table blocks
+    table = qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2, 2)
+    assert 120_001 > 3 * table.size
+    assert_matches_direct_sequence([GateOp("X"), GateOp("Y")], 60e-9, {"X": 3e8, "Y": 2e8})
 
 
 # ------------------------------------------------------------- calibration
@@ -319,6 +378,33 @@ def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
     assert len(calls) == len(pairs)
 
 
+def test_missing_amplitude_names_the_gate():
+    m = MismatchModel(15.0, 15.0, 0.276)
+    with pytest.raises(SimulationError, match="gate Y"):
+        run_allxy(m, 5e-9, PARAMS, pairs=(("X", "Y"),), amplitudes={"X": 1e9})
+    # the identity draws no drive, so it needs no amplitude
+    assert run_allxy(m, 5e-9, PARAMS, pairs=(("I", "X"),), amplitudes={"X": 1e9})[0] > 0.0
+
+
+def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
+    # measured warm: the cached Hilbert kernel spectrum and carrier table are
+    # counted once, by size, on top of the traced peak of both methods
+    model, amplitudes = MismatchModel(15.0, 15.0, 0.276), {"X": 1e8, "Y": 1e8}
+    for method in ("taps", "fourier"):
+        run_allxy(model, 60e-9, PARAMS, method=method, amplitudes=amplitudes)
+    tracemalloc.start()
+    try:
+        for method in ("taps", "fourier"):
+            run_allxy(model, 60e-9, PARAMS, method=method, amplitudes=amplitudes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = 240_001  # samples of a 60 ns XY pair
+    tables = distortion._hilbert_spectrum(n, distortion._fast_len(2 * n - 1)).nbytes
+    tables += qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2, 2).nbytes
+    assert peak + tables <= 15e6, (peak, tables)
+
+
 def test_infinite_return_loss_limit():
     dev = run_allxy(MismatchModel(200.0, 200.0, 0.276), 5e-9, PARAMS)[0]
     assert dev < 1e-10
@@ -384,6 +470,13 @@ def test_sweep_validation():
         sweep_length(m, np.array([-0.1, 0.2]), 5e-9, PARAMS)
     with pytest.raises(SimulationError):
         sweep_return_loss(m, np.array([0.0, 10.0]), 5e-9, PARAMS)
+
+
+@pytest.mark.parametrize("sweep", [sweep_length, sweep_return_loss])
+def test_sweep_rejects_an_empty_axis_before_calibrating(sweep, monkeypatch):
+    monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated an empty sweep"))
+    with pytest.raises(SimulationError, match="axis is empty"):
+        sweep(MismatchModel(15.0, 15.0, 0.276), np.array([]), 5e-9, PARAMS)
 
 
 # -------------------------------------------------------- phase helper
