@@ -72,12 +72,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; a byte that is not UTF-8 is a ConfigError naming its line and offset."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"{path}, line {line_no}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None
+
+
 def _load_config(path_str: str) -> dict:
     path = Path(path_str)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -240,7 +252,7 @@ def cmd_extract_loss(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[
 
 def _read_ecal_table(path: Path) -> UncertaintyTable:
     """(s11_db, sigma_linear) rows; the first line is a header if its cells are not numbers."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+    lines = [(n, ln.strip()) for n, ln in enumerate(_read_text(path).splitlines(), 1) if ln.strip()]
     rows = []
     for k, (lineno, ln) in enumerate(lines):
         try:

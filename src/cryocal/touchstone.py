@@ -9,6 +9,8 @@ otherwise unused; all work happens in reflection-coefficient space.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .traces import ComplexTrace, FrequencyGrid
@@ -48,6 +50,10 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
                 raise TouchstoneParseError(
                     line_no, f"invalid reference impedance {tokens[i + 1]!r}"
                 ) from None
+            if not 0.0 < z0 < math.inf:  # a positive resistance; false for NaN
+                raise TouchstoneParseError(
+                    line_no, f"reference impedance must be a finite positive resistance, got {tokens[i + 1]!r}"
+                )
             i += 1
         else:
             raise TouchstoneParseError(line_no, f"malformed option line token {tok!r}")
@@ -55,41 +61,56 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
     return scale, fmt, z0
 
 
-def _floats(rows: list[str]) -> np.ndarray:
-    """The whitespace-separated numbers of each row, one array row per row."""
-    return np.loadtxt(rows, comments=None, ndmin=2)
+def _content(lines: list[str], start: int = 0):
+    """Yield (line number, text before any ``!`` comment, stripped) of each line
+    from ``lines[start]`` on that has such text."""
+    for i in range(start, len(lines)):
+        line = lines[i].split("!", 1)[0].strip()
+        if line:
+            yield i + 1, line
+
+
+def _read_header(lines: list[str]) -> tuple[tuple[float, str, float], int]:
+    """Scan up to the option line; return its settings and the index of the next line with content."""
+    options = None
+    for line_no, line in _content(lines):
+        if options is not None:
+            return options, line_no - 1
+        if not line.startswith("#"):
+            raise TouchstoneParseError(line_no, "data before option line")
+        options = _parse_option_line(line[1:].split(), line_no)
+    raise TouchstoneParseError(0, "file contains fewer than two data records")
 
 
 def _is_number(tok: str) -> bool:
     try:
-        _floats([tok])
+        np.loadtxt([tok], comments=None)
         return True
     except ValueError:
         return False
 
 
-def _read_records(rows: list[str], line_nos: list[int]) -> np.ndarray:
-    """Convert the data records with one array call.
+def _raise_at_fault(lines: list[str], first: int, k: int | None = None, message: str = "") -> None:
+    """Scan the records ``lines[first:]`` one by one and raise the error of the line at fault.
 
-    Only when that call fails are the records scanned again, one by one, to
-    name the line and token at fault.
+    Only the error path runs this scan; a valid file is converted by one array
+    call. A second option line is reported wherever it is. Then, with ``k``
+    given, record ``k`` is reported with ``message``; else the first record
+    with the wrong column count or a non-numeric token.
     """
-    try:
-        data = _floats(rows)
-        if data.shape[1] != _N_COLS:
-            raise ValueError(f"records have {data.shape[1]} columns")
-        return data
-    except ValueError:
-        for line_no, row in zip(line_nos, rows):
-            tokens = row.split()
-            if len(tokens) != _N_COLS:
-                raise TouchstoneParseError(
-                    line_no, f"expected {_N_COLS} columns for 1-port data, got {len(tokens)}"
-                ) from None
-            bad = next((t for t in tokens if not _is_number(t)), None)
-            if bad is not None:
-                raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}") from None
-        raise
+    records = list(_content(lines, first))
+    dup = next((line_no for line_no, line in records if line.startswith("#")), None)
+    if dup is not None:
+        raise TouchstoneParseError(dup, "duplicate option line")
+    if k is not None:
+        raise TouchstoneParseError(records[k][0], message)
+    for line_no, line in records:
+        tokens = line.split()
+        if len(tokens) != _N_COLS:
+            raise TouchstoneParseError(line_no, f"expected {_N_COLS} columns for 1-port data, got {len(tokens)}")
+        bad = next((t for t in tokens if not _is_number(t)), None)
+        if bad is not None:
+            raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}")
 
 
 def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
@@ -97,32 +118,26 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
 
     ``expected_ports`` must be 1. Frequencies are converted to Hz, values to
     linear complex form regardless of the source format. Non-uniform grids
-    are accepted but flagged with ``uniform=False``. In a file with several
-    faults, option-line faults are reported before faults in the data records.
+    are accepted but flagged with ``uniform=False``. Lines end as in
+    ``str.splitlines``. In a file with several faults, the first line before
+    or at the option line that is at fault is reported, then a second option
+    line, then the first bad record, then too few records, then the first
+    non-increasing frequency.
     """
     if expected_ports != 1:
         raise ValueError("only one-port data is supported: expected_ports must be 1")
     if isinstance(text, bytes):
         text = text.decode("ascii")
 
-    scale = fmt = z0 = None
-    rows: list[str] = []
-    line_nos: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if scale is not None:
-                raise TouchstoneParseError(line_no, "duplicate option line")
-            scale, fmt, z0 = _parse_option_line(line[1:].split(), line_no)
-            continue
-        if scale is None:
-            raise TouchstoneParseError(line_no, "data before option line")
-        rows.append(line)
-        line_nos.append(line_no)
-
-    data = _read_records(rows, line_nos) if rows else np.empty((0, _N_COLS))
+    lines = text.splitlines()
+    (scale, fmt, z0), first = _read_header(lines)
+    try:
+        data = np.loadtxt(lines[first:], comments="!", ndmin=2)
+        if data.shape[1] != _N_COLS:
+            raise ValueError(f"records have {data.shape[1]} columns")
+    except ValueError:
+        _raise_at_fault(lines, first)
+        raise
     if len(data) < 2:
         raise TouchstoneParseError(0, "file contains fewer than two data records")
 
@@ -131,9 +146,7 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
     bad = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if bad.size:
         k = bad[0] + 1
-        raise TouchstoneParseError(
-            line_nos[k], f"non-increasing frequency {float(freqs[k])} Hz after {float(freqs[k - 1])} Hz"
-        )
+        _raise_at_fault(lines, first, k, f"non-increasing frequency {float(freqs[k])} Hz after {float(freqs[k - 1])} Hz")
     if fmt == "RI":  # reinterpret each (re, im) pair: exact, -0.0 included, unlike a + 1j * b
         values = np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
     else:
@@ -166,9 +179,8 @@ def write_touchstone(trace: ComplexTrace, fmt: str = "RI") -> str:
         b = np.where(mag > 0, np.degrees(np.angle(v)), 0.0)
         with np.errstate(divide="ignore"):
             a = mag if fmt == "MA" else 20.0 * np.log10(mag)
-    lines = [f"# Hz S {fmt} R {trace.z0_ohm:.17g}"]
-    lines += ["%.17g %.17g %.17g" % row for row in zip(trace.frequencies.tolist(), a.tolist(), b.tolist())]
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((trace.frequencies, a, b))
+    return f"# Hz S {fmt} R {trace.z0_ohm:.17g}\n" + ("%.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def read_touchstone_file(path) -> ComplexTrace:

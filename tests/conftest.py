@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid
 
@@ -51,3 +52,52 @@ def grid():
 @pytest.fixture
 def small_grid():
     return aligned_grid(count=11)
+
+
+# ------------------------------------------------ faulty Touchstone files
+
+S1P_LINES = ["# Hz S RI R 50"] + [f"{k}e9 0.019 -0.003" for k in range(1, 17)]
+TOKEN_VALUES = ("nan", "inf", "x", "1_0", "-0", "")
+FILE_MUTATIONS = ("drop", "duplicate", "swap", "token", "column", "zero", "option", "non-ascii", "truncate")
+
+
+def mutated_s1p(kind, data):
+    """Bytes of the 16-point ``S1P_LINES`` file with one ``kind`` of fault drawn from ``data``.
+
+    ``zero`` sets every S11 value to 0 and keeps the frequencies.
+    """
+    lines = list(S1P_LINES)
+
+    def draw_line(label):  # the index of a data line
+        return data.draw(st.integers(1, len(lines) - 1), label=label)
+
+    if kind == "drop":
+        del lines[draw_line("line")]
+    elif kind == "duplicate":
+        i = draw_line("line")
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        i, j = draw_line("line"), draw_line("other")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "token":
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        tokens = lines[i].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(
+            st.sampled_from(TOKEN_VALUES), label="value"
+        )
+        lines[i] = " ".join(tokens)
+    elif kind == "column":
+        add = data.draw(st.booleans(), label="add")
+        lines[1:] = [ln + " 0.5" if add else ln.rsplit(" ", 1)[0] for ln in lines[1:]]
+    elif kind == "zero":
+        lines[1:] = [ln.split()[0] + " 0 0" for ln in lines[1:]]
+    elif kind == "option":
+        lines.insert(data.draw(st.integers(1, len(lines)), label="at"), S1P_LINES[0])
+    text = "\n".join(lines) + "\n"
+    if kind == "non-ascii":
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + chr(data.draw(st.integers(0x80, 0xFF), label="byte")) + text[at:]
+    elif kind == "truncate":
+        i = draw_line("line")
+        text = "\n".join(lines[:i] + [lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]])
+    return text.encode("latin-1")

@@ -26,7 +26,16 @@ from cryocal import (
 from cryocal.cli import CROSSING_THRESHOLDS, _read_ecal_table, main
 from cryocal.distortion import C_VACUUM
 
-from conftest import aligned_grid, constant_error_model, reflector_trace, shorted_line_trace
+from conftest import (
+    FILE_MUTATIONS,
+    S1P_LINES,
+    TOKEN_VALUES,
+    aligned_grid,
+    constant_error_model,
+    mutated_s1p,
+    reflector_trace,
+    shorted_line_trace,
+)
 
 WIDE = aligned_grid(start_hz=1e7, step_hz=2.5e6, count=10597)
 
@@ -519,6 +528,14 @@ def test_bad_config_value_is_config_error(valid, tmp_path, name, path, value, te
     assert "config error" in err and text in err
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "g.json"
+    cfg.write_bytes(b'{"input": "x.s1p",\n "preset": "conn\xffector"}\n')
+    assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "g.json, line 2: byte 0xff at offset 35 is not UTF-8" in err and "Traceback" not in err
+
+
 def test_non_numeric_ecal_cell_is_config_error(valid, tmp_path):
     argv, cfg = valid[1]["uncertainty-trace"]
     table = tmp_path / "ecal.csv"
@@ -545,53 +562,6 @@ def test_mutated_config_keeps_exit_code_contract(valid, name, data):
 
 
 # ------------------------------------------------------- input-file fuzzing
-
-S1P_LINES = ["# Hz S RI R 50"] + [f"{k}e9 0.019 -0.003" for k in range(1, 17)]
-TOKEN_VALUES = ("nan", "inf", "x", "1_0", "-0", "")
-FILE_MUTATIONS = ("drop", "duplicate", "swap", "token", "column", "zero", "option", "non-ascii", "truncate")
-
-
-def mutated_s1p(kind, data):
-    """Bytes of the 16-point ``S1P_LINES`` file with one ``kind`` of fault drawn from ``data``.
-
-    ``zero`` sets every S11 value to 0 and keeps the frequencies.
-    """
-    lines = list(S1P_LINES)
-
-    def draw_line(label):  # the index of a data line
-        return data.draw(st.integers(1, len(lines) - 1), label=label)
-
-    if kind == "drop":
-        del lines[draw_line("line")]
-    elif kind == "duplicate":
-        i = draw_line("line")
-        lines.insert(i, lines[i])
-    elif kind == "swap":
-        i, j = draw_line("line"), draw_line("other")
-        lines[i], lines[j] = lines[j], lines[i]
-    elif kind == "token":
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
-        tokens = lines[i].split()
-        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(
-            st.sampled_from(TOKEN_VALUES), label="value"
-        )
-        lines[i] = " ".join(tokens)
-    elif kind == "column":
-        add = data.draw(st.booleans(), label="add")
-        lines[1:] = [ln + " 0.5" if add else ln.rsplit(" ", 1)[0] for ln in lines[1:]]
-    elif kind == "zero":
-        lines[1:] = [ln.split()[0] + " 0 0" for ln in lines[1:]]
-    elif kind == "option":
-        lines.insert(data.draw(st.integers(1, len(lines)), label="at"), S1P_LINES[0])
-    text = "\n".join(lines) + "\n"
-    if kind == "non-ascii":
-        at = data.draw(st.integers(0, len(text)), label="at")
-        text = text[:at] + chr(data.draw(st.integers(0x80, 0xFF), label="byte")) + text[at:]
-    elif kind == "truncate":
-        i = draw_line("line")
-        text = "\n".join(lines[:i] + [lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]])
-    return text.encode("latin-1")
-
 
 @pytest.fixture(scope="module")
 def s1p_work(tmp_path_factory):
@@ -652,7 +622,7 @@ def test_non_finite_ecal_entry_is_config_error(valid, tmp_path, table):
 
 
 ECAL_LINES = ["s11_db,sigma_linear", "0,0.002", "10,0.003", "30,0.002", "50,0.002"]
-ECAL_MUTATIONS = ("drop", "duplicate", "swap", "token")
+ECAL_MUTATIONS = ("drop", "duplicate", "swap", "token", "non-ascii")
 
 
 @pytest.mark.parametrize("kind", ECAL_MUTATIONS)
@@ -660,27 +630,33 @@ ECAL_MUTATIONS = ("drop", "duplicate", "swap", "token")
 @given(data=st.data())
 def test_mutated_ecal_table_keeps_exit_code_contract(s1p_work, kind, data):
     # One row of the ECal table is dropped, duplicated or swapped with
-    # another, or one cell (header included) becomes a TOKEN_VALUES entry.
+    # another, or one cell (header included) becomes a TOKEN_VALUES entry,
+    # or one byte 0x80-0xFF, which alone is never UTF-8, is inserted.
     lines = list(ECAL_LINES)
-    i = data.draw(st.integers(0 if kind == "token" else 1, len(lines) - 1), label="line")
-    if kind == "drop":
+    i = data.draw(st.integers(0 if kind in ("token", "non-ascii") else 1, len(lines) - 1), label="line")
+    if kind == "non-ascii":
+        at = data.draw(st.integers(0, len(lines[i])), label="at")
+        lines[i] = lines[i][:at] + chr(data.draw(st.integers(0x80, 0xFF), label="byte")) + lines[i][at:]
+    elif kind == "drop":
         del lines[i]
     elif kind == "duplicate":
         lines.insert(i, lines[i])
     elif kind == "swap":
         j = data.draw(st.integers(1, len(lines) - 1), label="other")
         lines[i], lines[j] = lines[j], lines[i]
-    else:
+    elif kind == "token":
         cells = lines[i].split(",")
         cells[data.draw(st.integers(0, 1), label="cell")] = data.draw(st.sampled_from(TOKEN_VALUES), label="value")
         lines[i] = ",".join(cells)
     in_path = s1p_work / "ecal_dut.s1p"
     in_path.write_text("\n".join(S1P_LINES) + "\n")
     table = s1p_work / "ecal_mutated.csv"
-    table.write_text("\n".join(lines) + "\n")
+    table.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     cfg = dict(unc_config(s1p_work, in_path), ecal_table=str(table))
     code, err = run_config(["uncertainty"], cfg, s1p_work)
     assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    if kind == "non-ascii":
+        assert code == 2 and f"ecal_mutated.csv, line {i + 1}: byte" in err, err
 
 
 # ------------------------------------------------------ CSV text contract
