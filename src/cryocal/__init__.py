@@ -66,7 +66,6 @@ from .qubitsim import (
     calibrate_amplitude,
     evolve,
     fidelity,
-    phase_interference,
     run_allxy,
     sweep_length,
     sweep_return_loss,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .traces import GridError
+from .traces import GridError, _bad_byte_line
 from .touchstone import (
     TouchstoneParseError,
     read_touchstone_file,
@@ -78,9 +78,8 @@ def _read_text(path: Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(
-            f"{path}, line {line_no}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+            f"{path}, line {_bad_byte_line(exc)}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
         ) from None
 
 

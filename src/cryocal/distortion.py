@@ -138,9 +138,10 @@ def impulse_response_fourier(
     return TimeTrace(dt_s=1.0 / (2.0 * f_max_hz), t0_s=0.0, values=h)
 
 
-def _analytic_signal(x: np.ndarray) -> np.ndarray:
-    """x + i H[x], H the one-sided-spectrum Hilbert transform at the input's
-    own length n (Marple, IEEE Trans. Signal Process. 47(9), 1999).
+def _hilbert_transform(x: np.ndarray) -> np.ndarray:
+    """H[x], the one-sided-spectrum Hilbert transform at the input's own
+    length n (Marple, IEEE Trans. Signal Process. 47(9), 1999), as a new
+    n-sample array; x + i H[x] is the analytic signal.
 
     H is the length-n circular convolution with a closed-form odd kernel
     (:func:`_hilbert_spectrum`), computed as one linear convolution with the
@@ -157,9 +158,7 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     spec *= 1j  # the odd kernel's spectrum is purely imaginary
     hx = np.fft.irfft(spec, size)
     del spec  # at most two M-point buffers live at once
-    z = np.empty(n, dtype=complex)
-    z.real, z.imag = x, hx[:n]
-    return z
+    return hx[:n].copy()  # a copy, so the M-point buffer is freed
 
 
 @lru_cache(maxsize=2)
@@ -228,12 +227,12 @@ class PulseWaveform:
         return self.dt_s * np.arange(self.samples.size)
 
     @cached_property
-    def _analytic(self) -> np.ndarray:
-        """Analytic signal of the samples, built once per waveform and shared
-        by every :func:`distort` of it (a tap ladder and its direct tap)."""
-        z = _analytic_signal(self.samples)
-        z.setflags(write=False)
-        return z
+    def _quadrature(self) -> np.ndarray:
+        """H[x] of the samples, built once per waveform and shared by every
+        :func:`distort` of it (a tap ladder and its direct tap)."""
+        hx = _hilbert_transform(self.samples)
+        hx.setflags(write=False)
+        return hx
 
 
 def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
@@ -255,7 +254,7 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
         max_shift = max(max_shift, m)
 
     # H[x] before the output: the transform's buffers never coexist with it
-    hx = pulse._analytic.imag if any(abs(eps) > 1e-18 for _, eps, _ in shifts) else None
+    hx = pulse._quadrature if any(abs(eps) > 1e-18 for _, eps, _ in shifts) else None
     y = np.zeros(x.size + max_shift)
     for m, eps, amp in shifts:
         seg = y[m : m + x.size]

@@ -464,16 +464,3 @@ def sweep_return_loss(
     models = [replace(model_template, rl1_db=float(rl), rl2_db=float(rl)) for rl in rls]
     return _run_sweep(models, rls, duration_s, params, pairs, method)
 
-
-def phase_interference(a: float, b: float, theta1: float, theta2: float) -> float:
-    """Quadrant-correct phase of the sum of two interfering phasors.
-
-    phi = atan2(A sin t1 + B sin t2, A cos t1 + B cos t2). Used to explain
-    the curvature of the drive rotation vector (A_x cos phi, A_x sin phi, 0).
-    """
-    if a == 0.0 and b == 0.0:
-        raise SimulationError("amplitudes must not both be zero")
-    return math.atan2(
-        a * math.sin(theta1) + b * math.sin(theta2),
-        a * math.cos(theta1) + b * math.cos(theta2),
-    )

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .traces import ComplexTrace, FrequencyGrid
+from .traces import ComplexTrace, FrequencyGrid, _bad_byte_line
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
@@ -82,21 +82,21 @@ def _read_header(lines: list[str]) -> tuple[tuple[float, str, float], int]:
     raise TouchstoneParseError(0, "file contains fewer than two data records")
 
 
-def _is_number(tok: str) -> bool:
+def _parses(records: list[str], cols: int = _N_COLS) -> bool:
+    """True when every one of the records is ``cols`` numbers."""
     try:
-        np.loadtxt([tok], comments=None)
-        return True
+        return np.loadtxt(records, comments=None, ndmin=2).shape[1] == cols
     except ValueError:
         return False
 
 
 def _raise_at_fault(lines: list[str], first: int, k: int | None = None, message: str = "") -> None:
-    """Scan the records ``lines[first:]`` one by one and raise the error of the line at fault.
+    """Find the record of ``lines[first:]`` at fault and raise its error.
 
-    Only the error path runs this scan; a valid file is converted by one array
+    Only the error path runs this; a valid file is converted by one array
     call. A second option line is reported wherever it is. Then, with ``k``
     given, record ``k`` is reported with ``message``; else the first record
-    with the wrong column count or a non-numeric token.
+    with the wrong column count or a non-numeric token, found by bisection.
     """
     records = list(_content(lines, first))
     dup = next((line_no for line_no, line in records if line.startswith("#")), None)
@@ -104,13 +104,17 @@ def _raise_at_fault(lines: list[str], first: int, k: int | None = None, message:
         raise TouchstoneParseError(dup, "duplicate option line")
     if k is not None:
         raise TouchstoneParseError(records[k][0], message)
-    for line_no, line in records:
-        tokens = line.split()
-        if len(tokens) != _N_COLS:
-            raise TouchstoneParseError(line_no, f"expected {_N_COLS} columns for 1-port data, got {len(tokens)}")
-        bad = next((t for t in tokens if not _is_number(t)), None)
-        if bad is not None:
-            raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}")
+    lo, hi = 0, len(records)  # records[:lo] all parse; records[lo:hi] do not all parse
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _parses([line for _, line in records[lo:mid]]) else (lo, mid)
+    line_no, line = records[lo]
+    tokens = line.split()
+    if len(tokens) != _N_COLS:
+        raise TouchstoneParseError(line_no, f"expected {_N_COLS} columns for 1-port data, got {len(tokens)}")
+    bad = next((t for t in tokens if not _parses([t], 1)), None)
+    if bad is not None:
+        raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}")
 
 
 def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
@@ -118,16 +122,19 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
 
     ``expected_ports`` must be 1. Frequencies are converted to Hz, values to
     linear complex form regardless of the source format. Non-uniform grids
-    are accepted but flagged with ``uniform=False``. Lines end as in
-    ``str.splitlines``. In a file with several faults, the first line before
-    or at the option line that is at fault is reported, then a second option
-    line, then the first bad record, then too few records, then the first
-    non-increasing frequency.
+    are accepted but flagged with ``uniform=False``. Bytes must be ASCII.
+    Lines end as in ``str.splitlines``. In a file with several faults, the
+    first non-ASCII byte is reported, then the first line before or at the
+    option line that is at fault, then a second option line, then the first
+    bad record, then too few records, then the first non-increasing frequency.
     """
     if expected_ports != 1:
         raise ValueError("only one-port data is supported: expected_ports must be 1")
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TouchstoneParseError(_bad_byte_line(exc), f"non-ASCII byte 0x{text[exc.start]:02x}") from None
 
     lines = text.splitlines()
     (scale, fmt, z0), first = _read_header(lines)
@@ -184,11 +191,11 @@ def write_touchstone(trace: ComplexTrace, fmt: str = "RI") -> str:
 
 
 def read_touchstone_file(path) -> ComplexTrace:
+    """Parse a one-port Touchstone file; a TouchstoneParseError names ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise TouchstoneParseError(line_no, f"non-ASCII byte 0x{data[exc.start]:02x} in {path}") from None
-    return parse_touchstone(text, 1)
+        return parse_touchstone(data, 1)
+    except TouchstoneParseError as exc:
+        exc.args = (f"{path}, {exc}",)  # line_no stays
+        raise

@@ -25,6 +25,11 @@ def _freeze(a, dtype=None) -> np.ndarray:
     return out
 
 
+def _bad_byte_line(exc: UnicodeDecodeError) -> int:
+    """Line, from 1 and split as by ``str.splitlines``, of the byte ``exc`` could not decode."""
+    return len((exc.object[: exc.start].decode(exc.encoding) + "x").splitlines())  # "x" ends no line
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform frequency grid: points are start_hz + k * step_hz, k in [0, count)."""

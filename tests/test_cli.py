@@ -396,6 +396,24 @@ def test_non_ascii_touchstone_is_data_error(tmp_path, capsys):
     assert "line 2" in err and "bad.s1p" in err
 
 
+def test_cal_parse_error_names_the_standard_file(cal_setup, tmp_path, capsys):
+    cfg_path, _ = cal_setup
+    measured = Path(json.loads(cfg_path.read_text())["standards"]["open"]["measured"])
+    measured.write_text(measured.read_text().replace("R 50", "R nan", 1))
+    assert run(["cal", "--config", cfg_path, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert f"{measured}, line 1: reference impedance must be a finite positive resistance" in err, err
+
+
+def test_ecal_bad_byte_line_follows_splitlines(valid, tmp_path):
+    # \r ends a line both for the row numbers and for the bad byte's line
+    argv, cfg = valid[1]["uncertainty-trace"]
+    path = tmp_path / "ecal.csv"
+    path.write_bytes(b"s11_db,sigma_linear\r0,0.002\r5\xff0,0.002\r")
+    code, err = run_config(argv, dict(cfg, ecal_table=str(path)), tmp_path)
+    assert code == 2 and "ecal.csv, line 3: byte 0xff at offset 29 is not UTF-8" in err, err
+
+
 def test_ecal_table_without_header_keeps_exponent_first_row(tmp_path):
     table = tmp_path / "ecal.csv"
     table.write_text("-4e1,0.003\n-10,0.002\n-5,0.002\n")

@@ -19,7 +19,6 @@ from cryocal import (
     calibrate_amplitude,
     evolve,
     fidelity,
-    phase_interference,
     run_allxy,
     sweep_length,
     sweep_return_loss,
@@ -371,8 +370,8 @@ def test_zero_distortion_simulates_nothing(monkeypatch):
 
 def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
     calls = []
-    analytic = distortion._analytic_signal
-    monkeypatch.setattr(distortion, "_analytic_signal", lambda x: calls.append(x.size) or analytic(x))
+    hilbert = distortion._hilbert_transform
+    monkeypatch.setattr(distortion, "_hilbert_transform", lambda x: calls.append(x.size) or hilbert(x))
     pairs = (("X", "Y"), ("Y", "X"))
     run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, amplitudes={"X": 1e9, "Y": 1e9})
     assert len(calls) == len(pairs)
@@ -479,15 +478,7 @@ def test_sweep_rejects_an_empty_axis_before_calibrating(sweep, monkeypatch):
         sweep(MismatchModel(15.0, 15.0, 0.276), np.array([]), 5e-9, PARAMS)
 
 
-# -------------------------------------------------------- phase helper
-
-
-def test_phase_interference_cases():
-    assert phase_interference(1.0, 0.0, 0.3, 2.0) == pytest.approx(0.3)
-    assert phase_interference(1.0, 1.0, 0.0, math.pi / 2) == pytest.approx(math.pi / 4)
-    assert phase_interference(1.0, 0.1, 0.0, math.pi) == pytest.approx(0.0)
-    with pytest.raises(SimulationError):
-        phase_interference(0.0, 0.0, 0.0, 0.0)
+# ------------------------------------------------------ frozen results
 
 
 def test_frozen_results_leave_the_callers_arrays_writeable():

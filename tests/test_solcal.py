@@ -1,5 +1,10 @@
+import cmath
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cryocal import (
     CalibrationError,
@@ -159,3 +164,29 @@ def test_non_uniform_trace_rejected(small_grid):
         forward_model(model, moved_point(defs["open"]))
     with pytest.raises(GridError, match="non-uniform"):
         apply_correction(model, moved_point(forward_model(model, defs["open"])))
+
+
+def _complex(max_abs):
+    return st.builds(lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.0, max_abs), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    e00=_complex(0.5), e11=_complex(0.5), e01e10=_complex(1.5).filter(lambda t: abs(t) >= 0.1),
+    gammas=st.lists(_complex(1.0), min_size=3, max_size=3), dut=_complex(1.0),
+)
+def test_sol_round_trip_property(e00, e11, e01e10, gammas, dut):
+    # |e11|, |G| <= 1/2, 1 keep 1 - e11*G away from 0; the standards clear the
+    # solver's separation and determinant guards by a margin
+    assume(min(abs(a - b) for a, b in itertools.combinations(gammas, 2)) >= 0.05)
+    grid = aligned_grid(count=2)
+    model = constant_error_model(grid, e00, e11, e00 * e11 - e01e10)
+    defs = {name: ComplexTrace(grid, np.full(2, g)) for name, g in zip(("short", "open", "load"), gammas)}
+    standards = standards_through(model, defs)
+    measured = [standards.measured_short, standards.measured_open, standards.measured_load]
+    rows = [[1.0, -g, g * m.values[0]] for g, m in zip(gammas, measured)]
+    assume(abs(np.linalg.det(np.array(rows))) >= 1e-3)
+    solved = solve_error_model(standards)
+    truth = ComplexTrace(grid, np.full(2, dut))
+    corrected = apply_correction(solved, forward_model(model, truth))
+    assert np.max(np.abs(corrected.values - truth.values)) <= 1e-10

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryocal import (
     GATE_PRESETS,
@@ -130,3 +131,16 @@ def test_presets_match_documented_parameters():
     ts = GATE_PRESETS["through-short"]
     assert (ts.center_s, ts.span_s, ts.splice_below_cutoff) == (2.15e-9, 3.8e-9, False)
     assert all(g.kaiser_beta == 6.0 for g in GATE_PRESETS.values())
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(GATE_PRESETS)),
+    mag=st.floats(1e-3, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_single_reflector_at_gate_centre_keeps_unit_gain(preset, mag, phase):
+    gate = GATE_PRESETS[preset]
+    tr = reflector_trace(WIDE, [(mag * complex(math.cos(phase), math.sin(phase)), gate.center_s)])
+    gated = apply_gate(tr, gate)
+    np.testing.assert_allclose(np.abs(gated.values[midband(WIDE)]), mag, rtol=0.01)

@@ -12,6 +12,7 @@ from cryocal import (
     FrequencyGrid,
     TouchstoneParseError,
     parse_touchstone,
+    read_touchstone_file,
     touchstone,
     write_touchstone,
 )
@@ -85,6 +86,53 @@ def test_parse_errors_carry_line_numbers(text, line_no, fragment):
         parse_touchstone(text, expected_ports=1)
     assert err.value.line_no == line_no
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c"], ids=["lf", "crlf", "cr", "vt", "ff", "fs"])
+def test_non_ascii_byte_reports_its_splitlines_line(tmp_path, brk):
+    data = brk.join(["# Hz S RI R 50", "! caf\u00e9", "1e9 0.1 0", "2e9 0.1 0", ""]).encode("latin-1")
+    with pytest.raises(TouchstoneParseError, match="^line 2: non-ASCII byte 0xe9$") as err:
+        parse_touchstone(data, 1)
+    assert err.value.line_no == 2
+    path = tmp_path / "bad.s1p"
+    path.write_bytes(data)
+    with pytest.raises(TouchstoneParseError) as err:
+        read_touchstone_file(path)
+    assert err.value.line_no == 2 and str(err.value) == f"{path}, line 2: non-ASCII byte 0xe9"
+
+
+@pytest.mark.parametrize(
+    "text,line_no",
+    [("# Hz S RI R nan\n1e9 0 0\n2e9 0 0\n", 1), ("# Hz S RI R 50\n1e9 0 0\n1e9 0 0\n", 3),
+     ("# Hz S RI R 50\n1e9 0 0\n", 0)],
+    ids=["z0", "non-increasing", "too-few"],
+)
+def test_read_touchstone_file_names_the_file_in_every_parse_error(tmp_path, text, line_no):
+    path = tmp_path / "std.s1p"
+    path.write_text(text)
+    with pytest.raises(TouchstoneParseError) as err:
+        read_touchstone_file(path)
+    with pytest.raises(TouchstoneParseError) as bare:
+        parse_touchstone(text, 1)
+    assert err.value.line_no == bare.value.line_no == line_no
+    assert str(err.value) == f"{path}, {bare.value}"
+
+
+def test_bad_last_record_is_found_in_log_many_loadtxt_calls():
+    # 10,597 RI records, the last with a non-numeric token: the error path
+    # bisects the records instead of testing each token on its own
+    n = 10_597
+    text = "# Hz S RI R 50\n" + "".join(f"{k}e6 0.019 -0.003\n" for k in range(1, n)) + f"{n}e6 0.019 x\n"
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", counted):
+        with pytest.raises(TouchstoneParseError, match=f"^line {n + 1}: non-numeric token 'x'$"):
+            parse_touchstone(text, 1)
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, len(calls)
 
 
 def test_too_few_records():
@@ -188,7 +236,12 @@ def _parse_oracle(text, expected_ports=1):
     The option-line grammar (``_parse_option_line``) is shared."""
     assert expected_ports == 1
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("latin-1")
+        bad = next((i for i, ch in enumerate(text) if ord(ch) > 0x7F), None)
+        if bad is not None:  # the line whose text, line break included, holds the byte
+            ends = itertools.accumulate(map(len, text.splitlines(keepends=True)))
+            line_no = next(n for n, end in enumerate(ends, start=1) if end > bad)
+            raise TouchstoneParseError(line_no, f"non-ASCII byte 0x{ord(text[bad]):02x}")
     scale = fmt = z0 = None
     rows, line_nos = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
