@@ -219,10 +219,6 @@ class PulseWaveform:
         object.__setattr__(self, "samples", _freeze(v))  # copy after the checks: the mask and copy never coexist
 
     @property
-    def duration_s(self) -> float:
-        return (self.samples.size - 1) * self.dt_s
-
-    @property
     def times(self) -> np.ndarray:
         return self.dt_s * np.arange(self.samples.size)
 
@@ -271,15 +267,17 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
 def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
     """Discrete convolution of the pulse with a sampled impulse response.
 
-    Requires matching sample intervals. Because the sampled response is the
-    band-limited image of the tap ladder, plain sample-by-sample
-    convolution reproduces fractional tap delays automatically. It is one
-    real FFT product at a fast length.
+    Requires matching sample intervals and a response that starts at
+    t = 0. Because the sampled response is the band-limited image of the tap
+    ladder, plain sample-by-sample convolution reproduces fractional tap
+    delays automatically. It is one real FFT product at a fast length.
     """
     if abs(h.dt_s - pulse.dt_s) > 1e-15 * pulse.dt_s:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
+    if h.t0_s != 0.0:
+        raise DistortionError(f"response must start at t = 0, got t0_s = {h.t0_s:.3e} s")
     n = pulse.samples.size + h.values.size - 1
     size = _fast_len(n)
     y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]

@@ -122,7 +122,7 @@ def _sequence_samples(
     duration_s: float,
     amplitudes: dict[str, float],
     params: QubitParams,
-) -> np.ndarray:
+) -> PulseWaveform:
     """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier.
 
     Every gate shares one envelope. Its carrier cos(w_q t + phi) is built in
@@ -130,6 +130,8 @@ def _sequence_samples(
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
     large argument.
     """
+    if duration_s <= 10.0 * params.dt_s:
+        raise SimulationError("duration must exceed 10 integrator steps")
     ds = params.dt_s / 2.0
     n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate
     x = np.zeros(n_gate * len(gates) + 1)
@@ -144,26 +146,18 @@ def _sequence_samples(
             j0 = i * n_gate + b
             psi = params.omega_q * (ds * j0) + gate.phase_rad
             x[j0 : j0 + c.size] += (amp * env[b : b + c.size]) * (math.cos(psi) * c.real - math.sin(psi) * c.imag)
-    return x
+    return PulseWaveform(ds, x, params.f_q)
 
 
 def synth_gate_pulse(gate: GateOp, duration_s: float, params: QubitParams, amplitude: float | None = None) -> PulseWaveform:
     """Single calibrated gate pulse starting at t = 0.
 
     x(t) = A(t) cos(w_q t + phi) with a truncated, baseline-subtracted
-    Gaussian envelope. If ``amplitude`` is omitted the scale is obtained
-    from :func:`calibrate_amplitude` (zero for the identity).
+    Gaussian envelope. If ``amplitude`` is omitted the scale is the one
+    :func:`run_allxy` drives the gate with, from :func:`calibrated_amplitudes`.
     """
-    if duration_s <= 10.0 * params.dt_s:
-        raise SimulationError("duration must exceed 10 integrator steps")
-    if gate.kind == "I":
-        amp = 0.0
-    elif amplitude is not None:
-        amp = amplitude
-    else:
-        amp = calibrate_amplitude(gate, duration_s, params)
-    x = _sequence_samples([gate], duration_s, {gate.kind: amp}, params)
-    return PulseWaveform(params.dt_s / 2.0, x, params.f_q)
+    amps = calibrated_amplitudes([gate.kind], duration_s, params) if amplitude is None else {gate.kind: amplitude}
+    return _sequence_samples([gate], duration_s, amps, params)
 
 
 _CHUNK = 1 << 14  # steps reduced per tree; bounds the working set to O(_CHUNK)
@@ -280,7 +274,7 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     """
     if gate.kind == "I":
         raise SimulationError("identity gate needs no amplitude calibration")
-    unit = synth_gate_pulse(gate, duration_s, params, amplitude=1.0)
+    unit = _sequence_samples([gate], duration_s, {gate.kind: 1.0}, params)
     theta = gate.angle_rad
     # rotating-wave estimate: envelope area equals the rotation angle
     unit_area = float(np.trapezoid(_truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
@@ -388,7 +382,7 @@ def run_allxy(
     direct = ImpulseResponse(taps=taps.taps[:1], normalized=taps.normalized)
     out = []
     for gates in sequences:
-        wf = PulseWaveform(params.dt_s / 2.0, _sequence_samples(gates, duration_s, amplitudes, params), params.f_q)
+        wf = _sequence_samples(gates, duration_s, amplitudes, params)
         dist_wf = distort_with_response(wf, response) if method == "fourier" else distort(wf, taps)
         ref_wf = distort(wf, direct)
         del wf  # with its analytic signal, before the padded copies below
@@ -412,6 +406,7 @@ def _pad(wf: PulseWaveform, n: int) -> PulseWaveform:
 def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweepResult:
     if not models:
         raise SimulationError("sweep axis is empty")
+    run_allxy(None, duration_s, params, pairs, method)  # checks pairs and method; simulates nothing
     kinds = {k for pair in pairs for k in pair}
     amplitudes = calibrated_amplitudes(kinds, duration_s, params)
     rows = [run_allxy(m, duration_s, params, pairs, method, amplitudes) for m in models]

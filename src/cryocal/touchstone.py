@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .traces import ComplexTrace, FrequencyGrid, _bad_byte_line
+from .traces import ComplexTrace, FrequencyGrid, GridError, _bad_byte_line
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
@@ -72,14 +72,14 @@ def _content(lines: list[str], start: int = 0):
 
 def _read_header(lines: list[str]) -> tuple[tuple[float, str, float], int]:
     """Scan up to the option line; return its settings and the index of the next line with content."""
-    options = None
+    options, line_no = None, 1  # a file with no content is reported at line 1
     for line_no, line in _content(lines):
         if options is not None:
             return options, line_no - 1
         if not line.startswith("#"):
             raise TouchstoneParseError(line_no, "data before option line")
         options = _parse_option_line(line[1:].split(), line_no)
-    raise TouchstoneParseError(0, "file contains fewer than two data records")
+    raise TouchstoneParseError(line_no, "file contains fewer than two data records")  # at the option line
 
 
 def _parses(records: list[str], cols: int = _N_COLS) -> bool:
@@ -146,7 +146,7 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
         _raise_at_fault(lines, first)
         raise
     if len(data) < 2:
-        raise TouchstoneParseError(0, "file contains fewer than two data records")
+        raise TouchstoneParseError(first + 1, "file contains fewer than two data records")  # at the one record
 
     freqs = data[:, 0] * scale
     # f[k+1] <= f[k] rather than np.diff(f) <= 0, which misses [inf, inf]
@@ -191,11 +191,11 @@ def write_touchstone(trace: ComplexTrace, fmt: str = "RI") -> str:
 
 
 def read_touchstone_file(path) -> ComplexTrace:
-    """Parse a one-port Touchstone file; a TouchstoneParseError names ``path``."""
+    """Parse a one-port Touchstone file; a TouchstoneParseError or GridError names ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return parse_touchstone(data, 1)
-    except TouchstoneParseError as exc:
+    except (TouchstoneParseError, GridError) as exc:
         exc.args = (f"{path}, {exc}",)  # line_no stays
         raise

@@ -405,6 +405,25 @@ def test_cal_parse_error_names_the_standard_file(cal_setup, tmp_path, capsys):
     assert f"{measured}, line 1: reference impedance must be a finite positive resistance" in err, err
 
 
+def test_infinite_last_frequency_is_data_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "inf.s1p"
+    bad.write_text("# Hz S RI R 50\n1e9 0.1 0\ninf 0.1 0\n")
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"input": str(bad), "preset": "connector"}))
+    assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}, frequencies must be finite" in err and "Traceback" not in err, err
+
+
+def test_cal_overflowing_db_standard_names_the_file(cal_setup, tmp_path, capsys):
+    cfg_path, _ = cal_setup
+    measured = Path(json.loads(cfg_path.read_text())["standards"]["short"]["measured"])
+    measured.write_text("# Hz S DB R 50\n1e9 1e6 0\n2e9 0 0\n")
+    assert run(["cal", "--config", cfg_path, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert f"{measured}, trace contains non-finite values" in err and "Traceback" not in err, err
+
+
 def test_ecal_bad_byte_line_follows_splitlines(valid, tmp_path):
     # \r ends a line both for the row numbers and for the bad byte's line
     argv, cfg = valid[1]["uncertainty-trace"]

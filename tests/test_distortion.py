@@ -204,6 +204,12 @@ def test_dt_mismatch_rejected():
         distort_with_response(p, td)
 
 
+def test_response_not_starting_at_zero_rejected():
+    # the convolution reads the first response sample as t = 0
+    with pytest.raises(DistortionError, match="t0_s = 1.000e-09 s"):
+        distort_with_response(PulseWaveform(1e-12, np.ones(5), 0.0), TimeTrace(1e-12, 1e-9, np.ones(3)))
+
+
 def _analytic_oracle(x):
     """x + i H[x] from the one-sided spectrum by length-n FFTs: dc and, for
     even n, the Nyquist bin keep unit weight, positive bins double."""
@@ -215,7 +221,7 @@ def _analytic_oracle(x):
 
 
 def _xy_60ns_samples():
-    x = qubitsim._sequence_samples([GateOp("X"), GateOp("Y")], 60e-9, {"X": 1e8, "Y": 1e8}, QubitParams())
+    x = qubitsim._sequence_samples([GateOp("X"), GateOp("Y")], 60e-9, {"X": 1e8, "Y": 1e8}, QubitParams()).samples
     assert x.size == 240_001
     return x
 

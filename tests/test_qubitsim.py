@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,8 +158,7 @@ def _beating_drive(n_steps, m=2):
 
 def _xy_60ns_through_taps():
     gates = [GateOp("X"), GateOp("Y")]
-    x = qubitsim._sequence_samples(gates, 60e-9, {"X": 1e8, "Y": 1e8}, PARAMS)
-    wf = PulseWaveform(PARAMS.dt_s / 2, x, PARAMS.f_q)
+    wf = qubitsim._sequence_samples(gates, 60e-9, {"X": 1e8, "Y": 1e8}, PARAMS)
     return distort(wf, impulse_response_taps(MismatchModel(15.0, 15.0, 0.276)))
 
 
@@ -243,7 +244,7 @@ def _direct_sequence(gates, duration_s, amplitudes):
 
 
 def assert_matches_direct_sequence(gates, duration_s, amplitudes):
-    got = qubitsim._sequence_samples(gates, duration_s, amplitudes, PARAMS)
+    got = qubitsim._sequence_samples(gates, duration_s, amplitudes, PARAMS).samples
     want = _direct_sequence(gates, duration_s, amplitudes)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(amplitudes.values())
     return got
@@ -333,6 +334,13 @@ def test_calibration_rejects_zero_duration():
         calibrate_amplitude(GateOp("X"), 0.0, PARAMS)
 
 
+def test_declared_numpy_floor_has_trapezoid():
+    # calibrate_amplitude calls np.trapezoid, which numpy added in 2.0
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
+
+
 def test_amplitude_area_scaling():
     a5 = calibrate_amplitude(GateOp("X"), 5e-9, PARAMS)
     a10 = calibrate_amplitude(GateOp("X"), 10e-9, PARAMS)
@@ -342,6 +350,15 @@ def test_amplitude_area_scaling():
 def test_identity_gate_zero_waveform():
     wf = synth_gate_pulse(GateOp("I"), 5e-9, PARAMS)
     assert not np.any(wf.samples)
+
+
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
+@pytest.mark.parametrize("kind", qubitsim.ALLXY_GATES)
+def test_synth_gate_pulse_drives_the_amplitude_of_run_allxy(kind, duration_s):
+    # Y takes X's calibration and Y90 X90's, as in every fidelity run
+    amps = qubitsim.calibrated_amplitudes([kind], duration_s, PARAMS)
+    want = qubitsim._sequence_samples([GateOp(kind)], duration_s, amps, PARAMS).samples
+    np.testing.assert_array_equal(synth_gate_pulse(GateOp(kind), duration_s, PARAMS).samples, want)
 
 
 def test_envelope_peak_centered():
@@ -476,6 +493,13 @@ def test_sweep_rejects_an_empty_axis_before_calibrating(sweep, monkeypatch):
     monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated an empty sweep"))
     with pytest.raises(SimulationError, match="axis is empty"):
         sweep(MismatchModel(15.0, 15.0, 0.276), np.array([]), 5e-9, PARAMS)
+
+
+@pytest.mark.parametrize("sweep", [sweep_length, sweep_return_loss])
+def test_sweep_rejects_an_unknown_method_before_calibrating(sweep, monkeypatch):
+    monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated before checking the method"))
+    with pytest.raises(SimulationError, match="unknown distortion method 'bogus'"):
+        sweep(MismatchModel(15.0, 15.0, 0.276), np.array([15.0]), 5e-9, PARAMS, method="bogus")
 
 
 # ------------------------------------------------------ frozen results

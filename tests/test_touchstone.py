@@ -104,8 +104,8 @@ def test_non_ascii_byte_reports_its_splitlines_line(tmp_path, brk):
 @pytest.mark.parametrize(
     "text,line_no",
     [("# Hz S RI R nan\n1e9 0 0\n2e9 0 0\n", 1), ("# Hz S RI R 50\n1e9 0 0\n1e9 0 0\n", 3),
-     ("# Hz S RI R 50\n1e9 0 0\n", 0)],
-    ids=["z0", "non-increasing", "too-few"],
+     ("# Hz S RI R 50\n1e9 0 0\n", 2), ("! one\n# Hz S RI R 50\n! two\n", 2), ("! none\n\n", 1)],
+    ids=["z0", "non-increasing", "too-few", "option-line-only", "no-content"],
 )
 def test_read_touchstone_file_names_the_file_in_every_parse_error(tmp_path, text, line_no):
     path = tmp_path / "std.s1p"
@@ -244,10 +244,12 @@ def _parse_oracle(text, expected_ports=1):
             raise TouchstoneParseError(line_no, f"non-ASCII byte 0x{ord(text[bad]):02x}")
     scale = fmt = z0 = None
     rows, line_nos = [], []
+    last = 1  # the last line with content; line 1 when there is none
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
+        last = line_no
         if line.startswith("#"):
             if scale is not None:
                 raise TouchstoneParseError(line_no, "duplicate option line")
@@ -271,7 +273,7 @@ def _parse_oracle(text, expected_ports=1):
                 raise TouchstoneParseError(line_no, f"non-numeric token {bad!r}") from None
         raise
     if len(data) < 2:
-        raise TouchstoneParseError(0, "file contains fewer than two data records")
+        raise TouchstoneParseError(last, "file contains fewer than two data records")
     freqs = data[:, 0] * scale
     bad = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if bad.size:
