@@ -184,6 +184,14 @@ def cmd_cal(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
             path = inputs[f"{std}.{role}"] = _get(block, role, Path, where=f"standards.{std}")
             traces[f"{role}_{std}"] = read_touchstone_file(path)
     duts = _get(cfg, "duts", [Path], [])
+    first_of = {}  # stem -> index of its first DUT; each stem names one output file
+    for i, dut_path in enumerate(duts):
+        j = first_of.setdefault(dut_path.stem, i)
+        if j != i:
+            raise ConfigError(
+                f"duts[{j}] ({duts[j]}) and duts[{i}] ({dut_path}) share the stem "
+                f"{dut_path.stem!r}: both would be written to corrected_{dut_path.stem}.s1p"
+            )
     model = solve_error_model(StandardsSet(**traces))
 
     error_csv = out / "error_model.csv"

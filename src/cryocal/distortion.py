@@ -34,8 +34,6 @@ class MismatchModel:
     rl2_db: float
     length_m: float
     v_p: float = DEFAULT_VP
-    sign1: int = 1
-    sign2: int = 1
     max_reflections: int = 5
 
     def __post_init__(self):
@@ -45,23 +43,26 @@ class MismatchModel:
             raise DistortionError("length_m must be > 0")
         if not (0 < self.v_p <= C_VACUUM):
             raise DistortionError("v_p must be in (0, c]")
-        if self.sign1 not in (1, -1) or self.sign2 not in (1, -1):
-            raise DistortionError("signs must be +1 or -1")
         if self.max_reflections < 0:
             raise DistortionError("max_reflections must be >= 0")
 
     @property
     def alpha(self) -> float:
-        return self.sign1 * 10.0 ** (-self.rl1_db / 20.0)
+        return 10.0 ** (-self.rl1_db / 20.0)
 
     @property
     def beta(self) -> float:
-        return self.sign2 * 10.0 ** (-self.rl2_db / 20.0)
+        return 10.0 ** (-self.rl2_db / 20.0)
 
     @property
     def transit_s(self) -> float:
         """One-way transit time L / v_p (the direct-path delay)."""
         return self.length_m / self.v_p
+
+    @property
+    def spacing_s(self) -> float:
+        """Round-trip time 2 L / v_p between successive ghosts."""
+        return 2.0 * self.length_m / self.v_p
 
 
 @dataclass(frozen=True)
@@ -69,55 +70,43 @@ class ImpulseResponse:
     """Finite tap list (delay, amplitude) of the two-reflector section."""
 
     taps: tuple[tuple[float, float], ...]
-    normalized: bool
 
     def __post_init__(self):
         delays = [d for d, _ in self.taps]
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise DistortionError("tap delays must be strictly increasing")
-        if self.normalized and self.taps and abs(self.taps[0][1] - 1.0) > 1e-12:
-            raise DistortionError("normalized response must have unit first tap")
 
 
-def impulse_response_taps(model: MismatchModel, normalized: bool = True) -> ImpulseResponse:
-    """Tap ladder: delays L(2k+1)/v_p, amplitudes a^k (1-a)(b^k - b^(k+1)).
+def impulse_response_taps(model: MismatchModel) -> ImpulseResponse:
+    """Tap ladder: delays L(2k+1)/v_p, amplitudes a^k (1-a)(b^k - b^(k+1))
+    scaled so the direct tap is 1, which reduces the ratios to (a*b)^k.
 
-    With ``normalized`` the ladder is scaled so the direct tap is 1 and the
-    ratios reduce to (a*b)^k; the static through-attenuation is then
-    absorbed into experimental amplitude calibration and only the
-    ghost-induced ripple remains.
+    The static through-attenuation is absorbed into experimental amplitude
+    calibration, so only the ghost-induced ripple remains.
     """
     a, b = model.alpha, model.beta
-    tau0 = model.transit_s
-    spacing = 2.0 * model.length_m / model.v_p
+    tau0, spacing = model.transit_s, model.spacing_s
     amps = [(a**k) * (1.0 - a) * (b**k - b ** (k + 1)) for k in range(model.max_reflections + 1)]
-    if normalized:
-        a0 = amps[0]
-        if a0 == 0.0:
-            raise DistortionError("direct tap vanishes; cannot normalize")
-        amps = [x / a0 for x in amps]
-    taps = tuple((tau0 + k * spacing, amps[k]) for k in range(len(amps)))
-    return ImpulseResponse(taps=taps, normalized=normalized)
+    a0 = amps[0]
+    if a0 == 0.0:  # a rounds to 1.0 at a return loss below about 1e-16 dB
+        raise DistortionError("direct tap vanishes; cannot normalize")
+    taps = tuple((tau0 + k * spacing, amps[k] / a0) for k in range(len(amps)))
+    return ImpulseResponse(taps=taps)
 
 
-def impulse_response_fourier(
-    model: MismatchModel,
-    f_max_hz: float,
-    window_s: float,
-    normalized: bool = True,
-) -> TimeTrace:
+def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: float) -> TimeTrace:
     """Sampled response from the Fabry-Perot transmission function.
 
-    S21(w) = d^2 exp(-i w L/v_p) / (1 - r^2 exp(-2 i w L/v_p)) with
-    r^2 = alpha*beta, sampled up to f_max and inverse-transformed. The
-    record spans ``window_s``; taps falling beyond it alias, so the window
+    S21(w) = exp(-i w L/v_p) / (1 - r^2 exp(-2 i w L/v_p)) with
+    r^2 = alpha*beta, its direct path of unit gain as in
+    :func:`impulse_response_taps`, sampled up to f_max and inverse-transformed.
+    The record spans ``window_s``; taps falling beyond it alias, so the window
     must cover the reflections that still carry amplitude. dt = 1/(2 f_max).
     """
     if f_max_hz <= 0 or window_s <= 0:
         raise DistortionError("f_max_hz and window_s must be > 0")
     tau0 = model.transit_s
-    spacing = 2.0 * model.length_m / model.v_p
-    if window_s < tau0 + 2.0 * spacing:
+    if window_s < tau0 + 2.0 * model.spacing_s:
         raise DistortionError("window too short to localize the tap ladder")
     n_half = int(round(window_s * f_max_hz))
     if n_half == 0:
@@ -128,14 +117,10 @@ def impulse_response_fourier(
     df = 2.0 * f_max_hz / n_full
     f = df * np.arange(n_half + 1)
     r2 = model.alpha * model.beta
-    if normalized:
-        d2 = 1.0
-    else:
-        d2 = (1.0 - model.alpha) * (1.0 - model.beta)
     w = 2.0 * math.pi * f
-    s21 = d2 * np.exp(-1j * w * tau0) / (1.0 - r2 * np.exp(-2j * w * tau0))
+    s21 = np.exp(-1j * w * tau0) / (1.0 - r2 * np.exp(-2j * w * tau0))
     h = np.fft.irfft(s21, n=n_full)
-    return TimeTrace(dt_s=1.0 / (2.0 * f_max_hz), t0_s=0.0, values=h)
+    return TimeTrace(dt_s=1.0 / (2.0 * f_max_hz), values=h)
 
 
 def _hilbert_transform(x: np.ndarray) -> np.ndarray:
@@ -267,17 +252,15 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
 def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
     """Discrete convolution of the pulse with a sampled impulse response.
 
-    Requires matching sample intervals and a response that starts at
-    t = 0. Because the sampled response is the band-limited image of the tap
-    ladder, plain sample-by-sample convolution reproduces fractional tap
-    delays automatically. It is one real FFT product at a fast length.
+    Requires matching sample intervals; the response starts at t = 0, as
+    every :class:`TimeTrace` does. Because the sampled response is the
+    band-limited image of the tap ladder, plain sample-by-sample convolution
+    reproduces fractional tap delays automatically. It is one real FFT product at a fast length.
     """
     if abs(h.dt_s - pulse.dt_s) > 1e-15 * pulse.dt_s:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
-    if h.t0_s != 0.0:
-        raise DistortionError(f"response must start at t = 0, got t0_s = {h.t0_s:.3e} s")
     n = pulse.samples.size + h.values.size - 1
     size = _fast_len(n)
     y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]

@@ -94,7 +94,7 @@ class QubitState:
         if v.shape != (2,):
             raise SimulationError("state must be a complex 2-vector")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # false for NaN
             raise SimulationError(f"state norm {norm} deviates from 1 beyond 1e-9")
         object.__setattr__(self, "amplitudes", v)
 
@@ -254,7 +254,7 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     g = complex(alpha * g0 - np.conj(beta) * e0)
     e = complex(beta * g0 + np.conj(alpha) * e0)
     norm = math.sqrt(abs(g) ** 2 + abs(e) ** 2)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # false for NaN
         raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
     # back to the lab frame at the final time
     t_end = n_steps * h
@@ -323,14 +323,13 @@ class FidelitySweepResult:
     axis: np.ndarray
     pairs: tuple[tuple[str, str], ...]
     deviation: np.ndarray  # shape (len(axis), len(pairs))
-    pulse_duration_s: float
 
     def __post_init__(self):
         a = _freeze(self.axis, float)
         d = _freeze(self.deviation, float)
         if d.shape != (a.size, len(self.pairs)):
             raise SimulationError("deviation shape does not match axis/pairs")
-        if np.any(d < -1e-12) or np.any(d > 1.0 + 1e-12):
+        if not np.all((d >= -1e-12) & (d <= 1.0 + 1e-12)):  # false for NaN
             raise SimulationError("fidelity deviation outside [0, 1]")
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "deviation", d)
@@ -374,12 +373,11 @@ def run_allxy(
     taps = impulse_response_taps(model)
     response = None
     if method == "fourier":
-        spacing = 2.0 * model.length_m / model.v_p
-        window = model.transit_s + (model.max_reflections + 3) * spacing
+        window = model.transit_s + (model.max_reflections + 3) * model.spacing_s
         f_max = 1.0 / (params.dt_s)  # waveform sampled at dt/2
         response = impulse_response_fourier(model, f_max, window)
 
-    direct = ImpulseResponse(taps=taps.taps[:1], normalized=taps.normalized)
+    direct = ImpulseResponse(taps=taps.taps[:1])
     out = []
     for gates in sequences:
         wf = _sequence_samples(gates, duration_s, amplitudes, params)
@@ -414,7 +412,6 @@ def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweep
         axis=axis,
         pairs=tuple(tuple(p) for p in pairs),
         deviation=np.array(rows),
-        pulse_duration_s=duration_s,
     )
 
 

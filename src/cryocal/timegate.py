@@ -57,10 +57,9 @@ GATE_PRESETS = {
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Uniformly sampled time response."""
+    """Uniformly sampled time response starting at t = 0."""
 
     dt_s: float
-    t0_s: float
     values: np.ndarray
 
     def __post_init__(self):
@@ -73,7 +72,7 @@ class TimeTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0_s + self.dt_s * np.arange(self.values.size)
+        return self.dt_s * np.arange(self.values.size)
 
 
 def _check_transformable(trace: ComplexTrace):
@@ -111,7 +110,7 @@ def to_time_domain(trace: ComplexTrace) -> TimeTrace:
     n_full = 2 * (spec.size - 1)
     h = np.fft.irfft(spec, n=n_full)
     dt = 1.0 / (n_full * trace.grid.step_hz)
-    return TimeTrace(dt_s=dt, t0_s=0.0, values=h)
+    return TimeTrace(dt_s=dt, values=h)
 
 
 def _kaiser_continuous(t: np.ndarray, center: float, span: float, beta: float) -> np.ndarray:

@@ -168,26 +168,15 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
     return ComplexTrace(grid, values, uniform, None if uniform else freqs, z0)
 
 
-def write_touchstone(trace: ComplexTrace, fmt: str = "RI") -> str:
-    """Serialize a trace as Touchstone v1 text (frequencies in Hz).
+def write_touchstone(trace: ComplexTrace) -> str:
+    """Serialize a trace as Touchstone v1 RI text (frequencies in Hz).
 
-    Round-trip guarantee: parse(write(t)) reproduces t to 1e-12 relative.
-    RI numbers are the exact values; MA angles and DB levels come from
-    numpy's arctan2 and log10, which can differ from ``math``'s in the last bit.
+    Round-trip guarantee: parse(write(t)) reproduces the frequencies to
+    1e-12 relative and the values bit for bit, -0.0 included; RI at 17
+    significant digits is the one exact format.
     """
-    fmt = fmt.upper()
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
-    v = trace.values
-    if fmt == "RI":
-        a, b = v.real, v.imag
-    else:
-        mag = np.hypot(v.real, v.imag)  # abs(complex) to the bit; np.abs is not
-        b = np.where(mag > 0, np.degrees(np.angle(v)), 0.0)
-        with np.errstate(divide="ignore"):
-            a = mag if fmt == "MA" else 20.0 * np.log10(mag)
-    rows = np.column_stack((trace.frequencies, a, b))
-    return f"# Hz S {fmt} R {trace.z0_ohm:.17g}\n" + ("%.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    rows = np.column_stack((trace.frequencies, trace.values.real, trace.values.imag))
+    return f"# Hz S RI R {trace.z0_ohm:.17g}\n" + ("%.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def read_touchstone_file(path) -> ComplexTrace:

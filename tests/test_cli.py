@@ -99,6 +99,22 @@ def test_cal_manifest_complete(cal_setup, tmp_path):
         assert len(digest) == 64
 
 
+def test_cal_rejects_duts_sharing_a_stem_before_solving(cal_setup, tmp_path, capsys, monkeypatch):
+    # a/dut.s1p and b/dut.s1p would both be written to corrected_dut.s1p
+    cfg_path, _ = cal_setup
+    cfg = json.loads(cfg_path.read_text())
+    duts = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        duts.append(str(tmp_path / d / "dut.s1p"))
+        Path(duts[-1]).write_bytes(Path(cfg["duts"][0]).read_bytes())
+    cfg_path.write_text(json.dumps(dict(cfg, duts=duts)))
+    monkeypatch.setattr(cryocal.cli, "solve_error_model", lambda *a: pytest.fail("solved before checking the stems"))
+    assert run(["cal", "--config", cfg_path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert f"duts[0] ({duts[0]}) and duts[1] ({duts[1]})" in err and "corrected_dut.s1p" in err, err
+
+
 def test_cal_missing_standard_is_config_error(tmp_path):
     cfg = tmp_path / "cal.json"
     cfg.write_text(
@@ -511,6 +527,14 @@ def run_config(argv, cfg, work):
     with contextlib.redirect_stderr(err):
         code = main([*argv, "--config", str(path), "--out", str(work / "out")])
     return code, err.getvalue()
+
+
+def test_pulse_model_with_a_vanishing_direct_tap_is_data_error(valid, tmp_path):
+    # rl_db = 1e-17 rounds the reflection magnitude to 1.0, so the direct
+    # tap (1 - a)(1 - b) is 0 and the ladder cannot be normalized by it
+    argv, cfg = valid[1]["pulse"]
+    code, err = run_config(argv, dict(cfg, model=dict(cfg["model"], rl_db=1e-17)), tmp_path)
+    assert code == 3 and "direct tap vanishes" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("name", ["cal", "gate", "extract-loss", "uncertainty-rows", "uncertainty-trace", "fidelity", "pulse"])

@@ -43,32 +43,19 @@ def test_normalized_tap_ratios():
     np.testing.assert_allclose(amps, ab ** np.arange(6), rtol=1e-12)
 
 
-def test_unnormalized_direct_amplitude():
-    m = MismatchModel(9.7, 9.7, 0.1)
-    h = impulse_response_taps(m, normalized=False)
-    a = 10.0 ** (-9.7 / 20.0)
-    assert h.taps[0][1] == pytest.approx((1 - a) ** 2)
-
-
 def test_rl_swap_symmetry():
     a = impulse_response_taps(MismatchModel(12.0, 18.0, 0.3))
     b = impulse_response_taps(MismatchModel(18.0, 12.0, 0.3))
     np.testing.assert_allclose([x for _, x in a.taps], [x for _, x in b.taps], rtol=1e-12)
 
 
-def test_sign_conventions():
-    m = MismatchModel(15.0, 15.0, 0.3, sign1=1, sign2=-1)
-    h = impulse_response_taps(m)
-    assert h.taps[1][1] < 0  # alpha*beta < 0 flips alternate ghosts
-
-
 def test_fourier_response_matches_taps():
     m = MismatchModel(12.0, 12.0, 0.3)
-    h = impulse_response_taps(m, normalized=True)
+    h = impulse_response_taps(m)
     spacing = 2 * m.length_m / m.v_p
     window = m.transit_s + 10 * spacing
     f_max = 1.0 / 2e-12
-    td = impulse_response_fourier(m, f_max, window, normalized=True)
+    td = impulse_response_fourier(m, f_max, window)
     # Each tap appears in the sampled response at its delay with its
     # amplitude; integrate half a tap spacing either side to collect the
     # band-limited sinc tails.
@@ -98,9 +85,7 @@ def test_model_validation():
     with pytest.raises(DistortionError):
         MismatchModel(15.0, 15.0, 0.3, v_p=1.5 * C)
     with pytest.raises(DistortionError):
-        ImpulseResponse(taps=((0.0, 1.0), (0.0, 0.5)), normalized=True)
-    with pytest.raises(DistortionError):
-        ImpulseResponse(taps=((0.0, 0.9),), normalized=True)
+        ImpulseResponse(taps=((0.0, 1.0), (0.0, 0.5)))
 
 
 def carrier_pulse(f_c=5e9, dt=1e-12, n=4001):
@@ -111,7 +96,7 @@ def carrier_pulse(f_c=5e9, dt=1e-12, n=4001):
 
 def test_distort_identity_tap():
     p = carrier_pulse()
-    h = ImpulseResponse(taps=((0.0, 1.0),), normalized=True)
+    h = ImpulseResponse(taps=((0.0, 1.0),))
     out = distort(p, h)
     np.testing.assert_allclose(out.samples, p.samples, atol=1e-15)
 
@@ -119,7 +104,7 @@ def test_distort_identity_tap():
 def test_distort_integer_delay():
     p = carrier_pulse()
     delay = 500e-12  # exact multiple of dt
-    h = ImpulseResponse(taps=((0.0, 1.0), (delay, 0.25)), normalized=True)
+    h = ImpulseResponse(taps=((0.0, 1.0), (delay, 0.25)))
     out = distort(p, h)
     n_shift = int(round(delay / p.dt_s))
     expected = np.zeros(p.samples.size + n_shift)
@@ -132,7 +117,7 @@ def test_distort_subsample_delay_phase():
     # A sub-sample tap delay must advance the ghost's carrier phase exactly.
     p = carrier_pulse()
     delay = 500.4e-12
-    h = ImpulseResponse(taps=((0.0, 1.0), (delay, 0.5)), normalized=True)
+    h = ImpulseResponse(taps=((0.0, 1.0), (delay, 0.5)))
     out = distort(p, h)
     # Compare against a directly synthesized delayed copy.
     t = p.dt_s * np.arange(p.samples.size)
@@ -151,7 +136,7 @@ def test_distort_shares_analytic_signal_bitwise():
     m = MismatchModel(12.0, 12.0, 0.3)
     p = carrier_pulse()
     taps = impulse_response_taps(m)
-    distort(p, ImpulseResponse(taps=taps.taps[:1], normalized=True))
+    distort(p, ImpulseResponse(taps=taps.taps[:1]))
     shared = distort(p, taps).samples
     fresh = distort(PulseWaveform(p.dt_s, p.samples, p.carrier_hz), taps).samples
     np.testing.assert_array_equal(shared, fresh)
@@ -187,7 +172,7 @@ def test_analytic_signal_matches_dft_construction(n):
 def test_distort_with_response_matches_direct_convolution(n_pulse, n_response):
     rng = np.random.default_rng(n_pulse * n_response)
     x, r = rng.standard_normal(n_pulse), rng.standard_normal(n_response)
-    got = distort_with_response(PulseWaveform(1e-12, x, 0.0), TimeTrace(1e-12, 0.0, r)).samples
+    got = distort_with_response(PulseWaveform(1e-12, x, 0.0), TimeTrace(1e-12, r)).samples
     np.testing.assert_allclose(got, np.convolve(x, r), rtol=0, atol=1e-12)
 
 
@@ -202,12 +187,6 @@ def test_dt_mismatch_rejected():
     td = impulse_response_fourier(m, 1.0 / (4 * p.dt_s), 3e-8)
     with pytest.raises(DistortionError, match="mismatch"):
         distort_with_response(p, td)
-
-
-def test_response_not_starting_at_zero_rejected():
-    # the convolution reads the first response sample as t = 0
-    with pytest.raises(DistortionError, match="t0_s = 1.000e-09 s"):
-        distort_with_response(PulseWaveform(1e-12, np.ones(5), 0.0), TimeTrace(1e-12, 1e-9, np.ones(3)))
 
 
 def _analytic_oracle(x):

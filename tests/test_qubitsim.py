@@ -115,6 +115,12 @@ def test_state_norm_guard():
         QubitState(np.array([1.0, 1.0]))
 
 
+def test_nan_state_rejected():
+    # abs(nan - 1) > tol is false: a NaN norm must fail the check, not pass it
+    with pytest.raises(SimulationError, match="norm nan"):
+        QubitState(np.array([math.nan, 0.0]))
+
+
 def test_fidelity_properties():
     plus = QubitState(np.array([1.0, 1.0]) / math.sqrt(2))
     assert fidelity(GROUND, GROUND) == 1.0
@@ -140,6 +146,14 @@ def test_free_evolution_phase():
     out = evolve(EXCITED, wf, PARAMS)
     expected = cmath.exp(-1j * PARAMS.omega_q * total_t)
     assert out.amplitudes[1] == pytest.approx(expected, abs=1e-9)
+
+
+def test_overflowing_drive_raises_instead_of_returning_nan():
+    # a finite 1e200 drive overflows the step matrices to NaN; a [nan, nan]
+    # state let through would read as fidelity 1.0 against GROUND
+    wf = PulseWaveform(PARAMS.dt_s / 2.0, np.full(201, 1e200), PARAMS.f_q)
+    with np.errstate(all="ignore"), pytest.raises(SimulationError, match="norm drift nan"):
+        evolve(GROUND, wf, PARAMS)
 
 
 def test_norm_conservation_60ns():
@@ -500,6 +514,11 @@ def test_sweep_rejects_an_unknown_method_before_calibrating(sweep, monkeypatch):
     monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated before checking the method"))
     with pytest.raises(SimulationError, match="unknown distortion method 'bogus'"):
         sweep(MismatchModel(15.0, 15.0, 0.276), np.array([15.0]), 5e-9, PARAMS, method="bogus")
+
+
+def test_sweep_result_rejects_a_nan_deviation():
+    with pytest.raises(SimulationError, match="outside"):
+        qubitsim.FidelitySweepResult(np.array([15.0, 16.0]), XY_PAIR, np.array([[1e-3], [math.nan]]))
 
 
 # ------------------------------------------------------ frozen results

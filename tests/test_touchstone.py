@@ -152,7 +152,8 @@ def test_write_parse_round_trip(fmt, grid):
     rng = np.random.default_rng(7)
     vals = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
     tr = ComplexTrace(grid=grid, values=vals)
-    back = parse_touchstone(write_touchstone(tr, fmt), expected_ports=1)
+    text = write_touchstone(tr) if fmt == "RI" else write_per_row(tr, fmt)
+    back = parse_touchstone(text, expected_ports=1)
     np.testing.assert_allclose(back.frequencies, tr.frequencies, rtol=1e-12)
     np.testing.assert_allclose(back.values, tr.values, rtol=1e-12, atol=1e-14)
 
@@ -187,10 +188,11 @@ def test_parse_matches_scalar_formulas_bitwise(fmt):
 
 
 def write_per_row(trace, fmt="RI"):
-    """The writer as it was: one f-string per row, RI values from each complex number."""
+    """Touchstone text by one f-string per row: RI values from each complex
+    number, MA and DB levels and angles from numpy's hypot, angle and log10."""
     if fmt == "RI":
         rows = [(v.real, v.imag) for v in map(complex, trace.values)]
-    else:  # the levels and angles as the writer computes them, formatted row by row
+    else:
         v = trace.values
         mag = np.hypot(v.real, v.imag)
         b = np.where(mag > 0, np.degrees(np.angle(v)), 0.0)
@@ -204,7 +206,7 @@ def write_per_row(trace, fmt="RI"):
 
 
 def test_ri_writer_matches_fstring_form():
-    # The one-format writer gives the per-row bytes in every format, RI, MA and DB.
+    # The writer gives the per-row RI bytes.
     rng = np.random.default_rng(5)
     n = 1000
     vals = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-300, 300, n)
@@ -212,8 +214,8 @@ def test_ri_writer_matches_fstring_form():
     uniform = ComplexTrace(FrequencyGrid(1e7, 2.5e6, n), vals, z0_ohm=75.0)
     f = np.cumsum(rng.uniform(1e3, 1e6, n)) + 1e9
     raw = ComplexTrace(FrequencyGrid.from_frequencies(f)[0], vals, False, f, 50.0)
-    for trace, fmt in itertools.product((uniform, raw), ("RI", "MA", "DB")):
-        assert write_touchstone(trace, fmt) == write_per_row(trace, fmt), fmt
+    for trace in (uniform, raw):
+        assert write_touchstone(trace) == write_per_row(trace)
 
 
 # ------------------------------------------------------------------------
@@ -446,7 +448,7 @@ def traces(draw, fmt):
 @given(data=st.data())
 def test_write_parse_round_trip_property(fmt, data):
     trace = data.draw(traces(fmt))
-    back = parse_touchstone(write_touchstone(trace, fmt), 1)
+    back = parse_touchstone(write_touchstone(trace) if fmt == "RI" else write_per_row(trace, fmt), 1)
     assert back.z0_ohm == trace.z0_ohm and back.uniform == trace.uniform
     if not trace.uniform:
         assert _bits(back.freq_hz_raw) == _bits(trace.freq_hz_raw)
