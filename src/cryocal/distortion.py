@@ -37,13 +37,13 @@ class MismatchModel:
     max_reflections: int = 5
 
     def __post_init__(self):
-        if self.rl1_db <= 0 or self.rl2_db <= 0:
-            raise DistortionError("return losses must be > 0 dB")
-        if self.length_m <= 0:
-            raise DistortionError("length_m must be > 0")
+        if not (self.rl1_db > 0 and self.rl2_db > 0):
+            raise DistortionError(f"return losses must be > 0 dB, got {self.rl1_db} and {self.rl2_db}")
+        if not 0 < self.length_m < math.inf:
+            raise DistortionError(f"length_m must be finite and > 0, got {self.length_m}")
         if not (0 < self.v_p <= C_VACUUM):
             raise DistortionError("v_p must be in (0, c]")
-        if self.max_reflections < 0:
+        if not self.max_reflections >= 0:
             raise DistortionError("max_reflections must be >= 0")
 
     @property
@@ -72,6 +72,8 @@ class ImpulseResponse:
     taps: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not all(-math.inf < v < math.inf for tap in self.taps for v in tap):
+            raise DistortionError("tap delays and amplitudes must be finite")
         delays = [d for d, _ in self.taps]
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise DistortionError("tap delays must be strictly increasing")
@@ -103,8 +105,8 @@ def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: fl
     The record spans ``window_s``; taps falling beyond it alias, so the window
     must cover the reflections that still carry amplitude. dt = 1/(2 f_max).
     """
-    if f_max_hz <= 0 or window_s <= 0:
-        raise DistortionError("f_max_hz and window_s must be > 0")
+    if not (0 < f_max_hz < math.inf and 0 < window_s < math.inf):
+        raise DistortionError(f"f_max_hz and window_s must be finite and > 0, got {f_max_hz} and {window_s}")
     tau0 = model.transit_s
     if window_s < tau0 + 2.0 * model.spacing_s:
         raise DistortionError("window too short to localize the tap ladder")
@@ -189,8 +191,10 @@ class PulseWaveform:
     carrier_hz: float
 
     def __post_init__(self):
-        if self.dt_s <= 0:
-            raise DistortionError("dt_s must be > 0")
+        if not self.dt_s > 0:
+            raise DistortionError(f"dt_s must be > 0, got {self.dt_s}")
+        if not self.carrier_hz >= 0:
+            raise DistortionError(f"carrier_hz must be >= 0, got {self.carrier_hz}")
         if self.carrier_hz > 0 and self.dt_s > 1.0 / (20.0 * self.carrier_hz):
             raise DistortionError(
                 f"dt_s = {self.dt_s:.3e} s does not resolve the "

@@ -41,8 +41,8 @@ class QubitParams:
     dt_s: float = 1e-12
 
     def __post_init__(self):
-        if self.omega_q <= 0:
-            raise SimulationError("omega_q must be > 0")
+        if not self.omega_q > 0:
+            raise SimulationError(f"omega_q must be > 0, got {self.omega_q}")
         if not self.dt_s > 0:
             raise SimulationError("dt_s must be > 0")
         if self.dt_s * self.omega_q / (2.0 * math.pi) > 1.0 / 20.0:
@@ -345,7 +345,6 @@ def run_allxy(
     params: QubitParams,
     pairs=XY_PAIR,
     method: str = "taps",
-    amplitudes: dict[str, float] | None = None,
 ) -> list[float]:
     """Fidelity deviation 1-F per gate pair between distorted and reference runs.
 
@@ -356,40 +355,43 @@ def run_allxy(
     Without a ``model`` both runs share one drive, so every 1-F is 0 and
     nothing is simulated.
     """
+    rows = _deviations([] if model is None else [model], duration_s, params, pairs, method)
+    return [0.0] * len(pairs) if model is None else rows[0].tolist()
+
+
+def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
+    """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
+    drive is synthesized once, so every model shares its analytic signal."""
     if not pairs:
         raise SimulationError("pairs must be non-empty")
     if method not in ("taps", "fourier"):
         raise SimulationError(f"unknown distortion method {method!r}")
+    for pair in pairs:
+        if not pair:
+            raise SimulationError(f"gate pair {pair!r} has no gate")
     sequences = [[GateOp(k) for k in pair] for pair in pairs]
-    if model is None:
-        return [0.0] * len(sequences)
-    kinds = {k for pair in pairs for k in pair}
-    if amplitudes is None:
-        amplitudes = calibrated_amplitudes(kinds, duration_s, params)
-    missing = sorted(kinds - {"I"} - amplitudes.keys())
-    if missing:
-        raise SimulationError(f"amplitudes has no entry for gate {', '.join(missing)}")
-
-    taps = impulse_response_taps(model)
-    response = None
-    if method == "fourier":
-        window = model.transit_s + (model.max_reflections + 3) * model.spacing_s
-        f_max = 1.0 / (params.dt_s)  # waveform sampled at dt/2
-        response = impulse_response_fourier(model, f_max, window)
-
-    direct = ImpulseResponse(taps=taps.taps[:1])
-    out = []
-    for gates in sequences:
+    out = np.zeros((len(models), len(sequences)))
+    if not models:
+        return out
+    amplitudes = calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, params)
+    ladders = [impulse_response_taps(m) for m in models]
+    responses = None
+    if method == "fourier":  # the waveform is sampled at dt/2, so f_max = 1/dt
+        windows = [m.transit_s + (m.max_reflections + 3) * m.spacing_s for m in models]
+        responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w) for m, w in zip(models, windows)]
+    for j, gates in enumerate(sequences):
         wf = _sequence_samples(gates, duration_s, amplitudes, params)
-        dist_wf = distort_with_response(wf, response) if method == "fourier" else distort(wf, taps)
-        ref_wf = distort(wf, direct)
-        del wf  # with its analytic signal, before the padded copies below
-        # evolve over a common horizon so lab-frame phases cancel in the overlap
-        n = max(ref_wf.samples.size, dist_wf.samples.size)
-        ref_wf = _pad(ref_wf, n)
-        dist_wf = _pad(dist_wf, n)
-        f = fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params))
-        out.append(max(0.0, 1.0 - f))
+        for i, taps in enumerate(ladders):
+            dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
+            ref_wf = distort(wf, ImpulseResponse(taps=taps.taps[:1]))
+            if i == len(ladders) - 1:
+                del wf  # with its analytic signal, before the padded copies below
+            # evolve over a common horizon so lab-frame phases cancel in the overlap
+            n = max(ref_wf.samples.size, dist_wf.samples.size)
+            ref_wf = _pad(ref_wf, n)
+            dist_wf = _pad(dist_wf, n)
+            f = fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params))
+            out[i, j] = max(0.0, 1.0 - f)
     return out
 
 
@@ -404,15 +406,8 @@ def _pad(wf: PulseWaveform, n: int) -> PulseWaveform:
 def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweepResult:
     if not models:
         raise SimulationError("sweep axis is empty")
-    run_allxy(None, duration_s, params, pairs, method)  # checks pairs and method; simulates nothing
-    kinds = {k for pair in pairs for k in pair}
-    amplitudes = calibrated_amplitudes(kinds, duration_s, params)
-    rows = [run_allxy(m, duration_s, params, pairs, method, amplitudes) for m in models]
-    return FidelitySweepResult(
-        axis=axis,
-        pairs=tuple(tuple(p) for p in pairs),
-        deviation=np.array(rows),
-    )
+    deviation = _deviations(models, duration_s, params, pairs, method)
+    return FidelitySweepResult(axis, tuple(tuple(p) for p in pairs), deviation)
 
 
 def sweep_length(
@@ -430,7 +425,7 @@ def sweep_length(
     sweep point runs in this process.
     """
     lengths = np.asarray(lengths_m, dtype=float)
-    if np.any(lengths <= 0):
+    if not np.all(lengths > 0):  # false for NaN
         raise SimulationError("lengths must be positive")
     models = [replace(model_template, length_m=float(L)) for L in lengths]
     return _run_sweep(models, lengths, duration_s, params, pairs, method)
@@ -451,7 +446,7 @@ def sweep_return_loss(
     sweep point runs in this process.
     """
     rls = np.asarray(rls_db, dtype=float)
-    if np.any(rls <= 0):
+    if not np.all(rls > 0):  # false for NaN
         raise SimulationError("return losses must be positive")
     models = [replace(model_template, rl1_db=float(rl), rl2_db=float(rl)) for rl in rls]
     return _run_sweep(models, rls, duration_s, params, pairs, method)

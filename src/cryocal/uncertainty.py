@@ -65,9 +65,9 @@ class ErrorBudget:
     s21_prefactor: float = 0.0  # |S21,a|^2 multiplying the load term
 
     def __post_init__(self):
-        for name in ("sigma_ecal", "sigma_switch_var", "sigma_switch_rep", "sigma_load"):
-            if getattr(self, name) < 0:
-                raise UncertaintyError(f"{name} must be >= 0")
+        for name in ("sigma_ecal", "sigma_switch_var", "sigma_switch_rep", "sigma_load", "s21_prefactor"):
+            if not getattr(self, name) >= 0:  # false for NaN
+                raise UncertaintyError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def combine_rss(budget: ErrorBudget, include_rep: bool = False, include_load: bool = False) -> float:
@@ -103,10 +103,10 @@ def to_return_loss(s11_linear: float, sigma_rss: float) -> ReturnLossResult:
     When sigma >= s11 the upper bound is unbounded and only the lower bound
     is reported (upper_db = inf).
     """
-    if s11_linear <= 0:
-        raise UncertaintyError(f"s11_linear must be > 0, got {s11_linear}")
-    if sigma_rss < 0:
-        raise UncertaintyError("sigma_rss must be >= 0")
+    if not 0 < s11_linear < math.inf:
+        raise UncertaintyError(f"s11_linear must be finite and > 0, got {s11_linear}")
+    if not 0 <= sigma_rss < math.inf:
+        raise UncertaintyError(f"sigma_rss must be finite and >= 0, got {sigma_rss}")
     rl = -20.0 * math.log10(s11_linear)
     lower = -20.0 * math.log10(s11_linear + sigma_rss)
     if sigma_rss >= s11_linear:
@@ -161,9 +161,11 @@ def s21_uncertainty(s21: float, sigma_ecal: float, sigma_s21_switch: float) -> t
     doubled because the transmission comes from a two-port extraction of a
     one-port measurement.
     """
-    if s21 <= 0:
+    if not s21 > 0:
         raise UncertaintyError(f"s21 must be > 0, got {s21}")
     rel = math.sqrt(sigma_ecal**2 + (2.0 * sigma_s21_switch) ** 2)
+    if not rel >= 0:  # false for NaN
+        raise UncertaintyError(f"sigma terms must not be NaN, got {sigma_ecal} and {sigma_s21_switch}")
     if rel >= 1.0:
         return math.inf, 20.0 * math.log10(1.0 + rel)
     return -20.0 * math.log10(1.0 - rel), 20.0 * math.log10(1.0 + rel)

@@ -86,6 +86,22 @@ def test_model_validation():
         MismatchModel(15.0, 15.0, 0.3, v_p=1.5 * C)
     with pytest.raises(DistortionError):
         ImpulseResponse(taps=((0.0, 1.0), (0.0, 0.5)))
+    # NaN fails every comparison, so each check must be one that NaN fails
+    nan = math.nan
+    for args in [(15.0, 15.0, nan), (nan, 15.0, 0.276), (15.0, nan, 0.276), (15.0, 15.0, math.inf)]:
+        with pytest.raises(DistortionError):
+            MismatchModel(*args)
+    for taps in [((nan, 1.0),), ((0.0, 1.0), (nan, 0.5)), ((0.0, 1.0), (1e-9, nan))]:
+        with pytest.raises(DistortionError, match="finite"):
+            ImpulseResponse(taps=taps)
+    for f_max, window in [(nan, 1e-8), (1e12, nan), (math.inf, 1e-8)]:
+        with pytest.raises(DistortionError, match="f_max_hz and window_s"):
+            impulse_response_fourier(MismatchModel(15.0, 15.0, 0.276), f_max, window)
+    for dt_s, carrier_hz in [(nan, 5e9), (1e-12, nan)]:
+        with pytest.raises(DistortionError, match="must be"):
+            PulseWaveform(dt_s, np.zeros(4), carrier_hz)
+    # an infinite return loss is a matched element: no ghost, a unit direct tap
+    assert impulse_response_taps(MismatchModel(math.inf, math.inf, 0.276)).taps[1][1] == 0.0
 
 
 def carrier_pulse(f_c=5e9, dt=1e-12, n=4001):

@@ -104,10 +104,16 @@ def test_gate_table():
         qubitsim.calibrated_amplitudes(["Z"], 5e-9, PARAMS)
 
 
-@pytest.mark.parametrize("dt_s", [0.0, -1e-12])
+@pytest.mark.parametrize("dt_s", [0.0, -1e-12, math.nan])
 def test_nonpositive_step_rejected(dt_s):
     with pytest.raises(SimulationError, match="dt_s must be > 0"):
         QubitParams(dt_s=dt_s)
+
+
+@pytest.mark.parametrize("omega_q", [0.0, math.nan])
+def test_nonpositive_qubit_frequency_rejected(omega_q):
+    with pytest.raises(SimulationError, match="omega_q must be > 0"):
+        QubitParams(omega_q=omega_q)
 
 
 def test_state_norm_guard():
@@ -400,32 +406,32 @@ def test_zero_distortion_simulates_nothing(monkeypatch):
 
 
 def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
+    # a sweep synthesizes each pair once, so its points share one analytic signal
     calls = []
     hilbert = distortion._hilbert_transform
     monkeypatch.setattr(distortion, "_hilbert_transform", lambda x: calls.append(x.size) or hilbert(x))
-    pairs = (("X", "Y"), ("Y", "X"))
-    run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, amplitudes={"X": 1e9, "Y": 1e9})
-    assert len(calls) == len(pairs)
-
-
-def test_missing_amplitude_names_the_gate():
-    m = MismatchModel(15.0, 15.0, 0.276)
-    with pytest.raises(SimulationError, match="gate Y"):
-        run_allxy(m, 5e-9, PARAMS, pairs=(("X", "Y"),), amplitudes={"X": 1e9})
-    # the identity draws no drive, so it needs no amplitude
-    assert run_allxy(m, 5e-9, PARAMS, pairs=(("I", "X"),), amplitudes={"X": 1e9})[0] > 0.0
+    m, pairs = MismatchModel(15.0, 15.0, 0.276), (("X", "Y"), ("Y", "X"))
+    runs = [
+        lambda: run_allxy(m, 5e-9, PARAMS, pairs=pairs),
+        lambda: sweep_return_loss(m, np.array([14.0, 15.0, 16.0]), 5e-9, PARAMS, pairs=pairs),
+        lambda: sweep_length(m, np.array([0.27, 0.276, 0.28]), 5e-9, PARAMS, pairs=pairs),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == len(pairs)
 
 
 def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
     # measured warm: the cached Hilbert kernel spectrum and carrier table are
     # counted once, by size, on top of the traced peak of both methods
-    model, amplitudes = MismatchModel(15.0, 15.0, 0.276), {"X": 1e8, "Y": 1e8}
+    model = MismatchModel(15.0, 15.0, 0.276)
     for method in ("taps", "fourier"):
-        run_allxy(model, 60e-9, PARAMS, method=method, amplitudes=amplitudes)
+        run_allxy(model, 60e-9, PARAMS, method=method)
     tracemalloc.start()
     try:
         for method in ("taps", "fourier"):
-            run_allxy(model, 60e-9, PARAMS, method=method, amplitudes=amplitudes)
+            run_allxy(model, 60e-9, PARAMS, method=method)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,6 +506,10 @@ def test_sweep_validation():
         sweep_length(m, np.array([-0.1, 0.2]), 5e-9, PARAMS)
     with pytest.raises(SimulationError):
         sweep_return_loss(m, np.array([0.0, 10.0]), 5e-9, PARAMS)
+    with pytest.raises(SimulationError, match="lengths must be positive"):
+        sweep_length(m, np.array([0.2, math.nan]), 5e-9, PARAMS)
+    with pytest.raises(SimulationError, match="return losses must be positive"):
+        sweep_return_loss(m, np.array([math.nan, 10.0]), 5e-9, PARAMS)
 
 
 @pytest.mark.parametrize("sweep", [sweep_length, sweep_return_loss])
@@ -514,6 +524,35 @@ def test_sweep_rejects_an_unknown_method_before_calibrating(sweep, monkeypatch):
     monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated before checking the method"))
     with pytest.raises(SimulationError, match="unknown distortion method 'bogus'"):
         sweep(MismatchModel(15.0, 15.0, 0.276), np.array([15.0]), 5e-9, PARAMS, method="bogus")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, pairs: run_allxy(None, 5e-9, PARAMS, pairs=pairs),
+        lambda m, pairs: run_allxy(m, 5e-9, PARAMS, pairs=pairs),
+        lambda m, pairs: sweep_return_loss(m, np.array([15.0]), 5e-9, PARAMS, pairs=pairs),
+        lambda m, pairs: sweep_length(m, np.array([0.276]), 5e-9, PARAMS, pairs=pairs),
+    ],
+    ids=["run_allxy-no-model", "run_allxy", "sweep_return_loss", "sweep_length"],
+)
+def test_empty_gate_pair_is_named_before_calibrating(run, monkeypatch):
+    monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated before checking the pairs"))
+    with pytest.raises(SimulationError, match=r"gate pair \(\) has no gate"):
+        run(MismatchModel(15.0, 15.0, 0.276), [("X", "Y"), ()])
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+@pytest.mark.parametrize("sweep, axis, field", [
+    (sweep_return_loss, [12.0, 15.0, 18.0], ("rl1_db", "rl2_db")),
+    (sweep_length, [0.27, 0.276, 0.28], ("length_m",)),
+])
+def test_sweep_row_is_the_single_point_call(sweep, axis, field, method):
+    template, pairs = MismatchModel(15.0, 15.0, 0.276), (("X", "Y"), ("Y90", "X"))
+    result = sweep(template, np.array(axis), 5e-9, PARAMS, pairs=pairs, method=method)
+    for row, value in zip(result.deviation, axis):
+        model = replace(template, **{name: value for name in field})
+        assert np.array_equal(row, run_allxy(model, 5e-9, PARAMS, pairs=pairs, method=method))
 
 
 def test_sweep_result_rejects_a_nan_deviation():

@@ -86,6 +86,25 @@ def test_interp_table():
         interp_ecal_sigma(table, 50.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ErrorBudget(math.nan, 0.0),
+        lambda: ErrorBudget(0.0, 0.0, s21_prefactor=math.nan),
+        lambda: to_return_loss(math.nan, 0.01),
+        lambda: to_return_loss(0.1, math.nan),
+        lambda: to_return_loss(0.1, math.inf),
+        lambda: s21_uncertainty(math.nan, 0.0, 0.01),
+        lambda: s21_uncertainty(0.9, math.nan, 0.01),
+    ],
+    ids=["budget-sigma", "budget-prefactor", "rl-s11", "rl-sigma", "rl-infinite-sigma", "s21", "s21-sigma"],
+)
+def test_nan_inputs_are_rejected(build):
+    # NaN fails every comparison, so each check must be one that NaN fails
+    with pytest.raises(UncertaintyError):
+        build()
+
+
 def test_table_validation():
     with pytest.raises(UncertaintyError):
         UncertaintyTable(np.array([1.0, 1.0, 2.0]), np.array([1e-3, 1e-3, 1e-3]))
