@@ -40,8 +40,6 @@ from .uncertainty import (
     combine_rss,
     format_return_loss,
     interp_ecal_sigma,
-    s21_uncertainty,
-    switch_stats,
     to_return_loss,
 )
 from .distortion import (

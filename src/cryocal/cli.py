@@ -322,8 +322,9 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
 
 def _qubit_params(cfg: dict) -> QubitParams:
     block = _get(cfg, "qubit", dict, {})
-    omega_q = 2.0 * math.pi * _get(block, "f_q_ghz", float, 5.0, "qubit") * 1e9
-    return _build("qubit", QubitParams, omega_q, _get(block, "dt_ps", float, 1.0, "qubit") * 1e-12)
+    default = QubitParams()
+    omega_q = 2.0 * math.pi * _get(block, "f_q_ghz", float, default.f_q / 1e9, "qubit") * 1e9
+    return _build("qubit", QubitParams, omega_q, _get(block, "dt_ps", float, default.dt_s / 1e-12, "qubit") * 1e-12)
 
 
 def _duration_s(cfg: dict, params: QubitParams) -> float:

@@ -34,6 +34,8 @@ class GateSpec:
     splice_below_cutoff: bool = False
 
     def __post_init__(self):
+        if not abs(self.center_s) < np.inf:  # false for NaN
+            raise GateError(f"center_s must be finite, got {self.center_s}")
         if not (self.span_s > 0):
             raise GateError(f"gate span must be > 0, got {self.span_s}")
         if not (self.kaiser_beta >= 0):
@@ -63,8 +65,8 @@ class TimeTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (self.dt_s > 0):
-            raise GateError(f"dt_s must be > 0, got {self.dt_s}")
+        if not 0 < self.dt_s < np.inf:  # false for NaN
+            raise GateError(f"dt_s must be finite and > 0, got {self.dt_s}")
         v = _freeze(self.values)
         if v.ndim != 1 or v.size < 2:
             raise GateError("time trace needs at least two samples")

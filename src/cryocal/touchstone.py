@@ -121,8 +121,9 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
     """Parse one-port Touchstone v1 text into a trace.
 
     ``expected_ports`` must be 1. Frequencies are converted to Hz, values to
-    linear complex form regardless of the source format. Non-uniform grids
-    are accepted but flagged with ``uniform=False``. Bytes must be ASCII.
+    linear complex form regardless of the source format. A non-uniform grid
+    is accepted; its frequencies are kept in ``freq_hz_raw``, which is set
+    only then. Bytes must be ASCII.
     Lines end as in ``str.splitlines``. In a file with several faults, the
     first non-ASCII byte is reported, then the first line before or at the
     option line that is at fault, then a second option line, then the first
@@ -165,7 +166,7 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
             values = mag * np.exp(1j * np.radians(b))
 
     grid, uniform = FrequencyGrid.from_frequencies(freqs)
-    return ComplexTrace(grid, values, uniform, None if uniform else freqs, z0)
+    return ComplexTrace(grid, values, None if uniform else freqs, z0)
 
 
 def write_touchstone(trace: ComplexTrace) -> str:

@@ -39,12 +39,11 @@ class FrequencyGrid:
     count: int
 
     def __post_init__(self):
-        if not (self.step_hz > 0):
-            raise GridError(f"step_hz must be > 0, got {self.step_hz}")
-        if not (self.start_hz > 0):
-            raise GridError(f"start_hz must be > 0, got {self.start_hz}")
-        if self.count < 2:
-            raise GridError(f"count must be >= 2, got {self.count}")
+        for name in ("start_hz", "step_hz"):
+            if not 0 < getattr(self, name) < np.inf:  # false for NaN
+                raise GridError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not (isinstance(self.count, (int, np.integer)) and self.count >= 2):
+            raise GridError(f"count must be an integer >= 2, got {self.count!r}")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -109,15 +108,15 @@ def require_same_grid(a: FrequencyGrid, trace: ComplexTrace, what: str = "trace"
 class ComplexTrace:
     """One complex S-parameter value per grid point.
 
-    When ``uniform`` is False the trace came from a non-uniform file; the
-    actual frequencies are then kept in ``freq_hz_raw`` and the grid runs
-    uniformly through the first and last points. Such traces are accepted by
-    I/O but rejected by the time-domain module and by ``require_same_grid``.
+    ``freq_hz_raw`` is the one marker of a non-uniform trace: when set, it
+    holds the actual frequencies from a non-uniform file, one per value, and
+    the grid runs uniformly through the first and last points. Such traces
+    are accepted by I/O but rejected by the time-domain module and by
+    ``require_same_grid``.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
-    uniform: bool = True
     freq_hz_raw: np.ndarray | None = None
     z0_ohm: float = 50.0
 
@@ -131,14 +130,18 @@ class ComplexTrace:
             raise GridError("trace contains non-finite values")
         object.__setattr__(self, "values", v)
         if self.freq_hz_raw is not None:
-            object.__setattr__(self, "freq_hz_raw", _freeze(self.freq_hz_raw, float))
+            f = _freeze(self.freq_hz_raw, float)
+            if f.shape != v.shape:
+                raise GridError(f"freq_hz_raw length {f.size} does not match values length {v.size}")
+            object.__setattr__(self, "freq_hz_raw", f)
+
+    @property
+    def uniform(self) -> bool:
+        return self.freq_hz_raw is None
 
     @property
     def frequencies(self) -> np.ndarray:
-        if not self.uniform and self.freq_hz_raw is not None:
-            return self.freq_hz_raw
-        return self.grid.frequencies
+        return self.grid.frequencies if self.freq_hz_raw is None else self.freq_hz_raw
 
     def with_values(self, values) -> "ComplexTrace":
-        return ComplexTrace(self.grid, values, self.uniform, self.freq_hz_raw, self.z0_ohm)
-
+        return ComplexTrace(self.grid, values, self.freq_hz_raw, self.z0_ohm)

@@ -1,8 +1,8 @@
 """RSS error combination and asymmetric dB error bars.
 
 Reflection uncertainty combines the ECal table value with the switch-port
-variability; switch repeatability and load terms are informational and
-excluded by default. Bars are symmetric in linear units and become
+variability; switch repeatability is informational and excluded by
+default. Bars are symmetric in linear units and become
 asymmetric when converted with RL(dB) = -20 log10(|S11| -/+ sigma).
 """
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import ComplexTrace, _freeze, require_same_grid
+from .traces import _freeze
 
 
 class UncertaintyError(ValueError):
@@ -61,27 +61,22 @@ class ErrorBudget:
     sigma_ecal: float
     sigma_switch_var: float
     sigma_switch_rep: float = 0.0
-    sigma_load: float = 0.0
-    s21_prefactor: float = 0.0  # |S21,a|^2 multiplying the load term
 
     def __post_init__(self):
-        for name in ("sigma_ecal", "sigma_switch_var", "sigma_switch_rep", "sigma_load", "s21_prefactor"):
+        for name in ("sigma_ecal", "sigma_switch_var", "sigma_switch_rep"):
             if not getattr(self, name) >= 0:  # false for NaN
                 raise UncertaintyError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def combine_rss(budget: ErrorBudget, include_rep: bool = False, include_load: bool = False) -> float:
-    """Root-sum-of-squares of the selected error terms.
+def combine_rss(budget: ErrorBudget, include_rep: bool = False) -> float:
+    """Root-sum-of-squares of the ECal and switch-variability terms.
 
-    Default keeps only the ECal and switch-variability terms; repeatability
-    and load contributions change the total by at most a couple of percent
-    and are informational.
+    ``include_rep`` adds the switch-repeatability term, which changes the
+    total by at most a couple of percent and is informational.
     """
     total = budget.sigma_ecal**2 + budget.sigma_switch_var**2
     if include_rep:
         total += budget.sigma_switch_rep**2
-    if include_load:
-        total += (budget.s21_prefactor * budget.sigma_load) ** 2
     return math.sqrt(total)
 
 
@@ -94,7 +89,11 @@ class ReturnLossResult:
     lower_db: float  # extent toward worse match, from s11 + sigma
     s11_linear: float
     sigma_rss: float
-    lower_bound_only: bool = False
+
+    @property
+    def lower_bound_only(self) -> bool:
+        """True when sigma >= s11, so the bar toward better match is unbounded."""
+        return self.upper_db == math.inf
 
 
 def to_return_loss(s11_linear: float, sigma_rss: float) -> ReturnLossResult:
@@ -110,9 +109,9 @@ def to_return_loss(s11_linear: float, sigma_rss: float) -> ReturnLossResult:
     rl = -20.0 * math.log10(s11_linear)
     lower = -20.0 * math.log10(s11_linear + sigma_rss)
     if sigma_rss >= s11_linear:
-        return ReturnLossResult(rl, math.inf, rl - lower, s11_linear, sigma_rss, True)
+        return ReturnLossResult(rl, math.inf, rl - lower, s11_linear, sigma_rss)
     upper = -20.0 * math.log10(s11_linear - sigma_rss)
-    return ReturnLossResult(rl, upper - rl, rl - lower, s11_linear, sigma_rss, False)
+    return ReturnLossResult(rl, upper - rl, rl - lower, s11_linear, sigma_rss)
 
 
 def _round_half_away(x: float) -> int:
@@ -133,39 +132,3 @@ def format_return_loss(result: ReturnLossResult) -> str:
     up = _round_half_away(result.upper_db)
     center = _round_half_away(result.rl_db + result.upper_db) - up
     return f"{center} +{up}/-{low}"
-
-
-def switch_stats(traces: list[ComplexTrace]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency variability and repeatability of |S11| across traces.
-
-    sigma_var is the population standard deviation across the traces.
-    sigma_rep is the mean absolute change relative to the first trace,
-    meaningful when the inputs are repeated actuations of one port.
-    """
-    if len(traces) < 2:
-        raise UncertaintyError("need at least two traces")
-    ref = traces[0]
-    for tr in traces:
-        require_same_grid(ref.grid, tr, "switch trace")
-    mags = np.stack([np.abs(tr.values) for tr in traces])
-    sigma_var = np.std(mags, axis=0, ddof=0)
-    sigma_rep = np.mean(np.abs(mags[1:] - mags[0]), axis=0)
-    return sigma_var, sigma_rep
-
-
-def s21_uncertainty(s21: float, sigma_ecal: float, sigma_s21_switch: float) -> tuple[float, float]:
-    """dB bar extents (upper, lower) on an insertion-loss value.
-
-    Multiplicative model |S21,m| = |S21,a| (1 +/- rel) with
-    rel = sqrt(sigma_ecal^2 + (2 sigma_s21_switch)^2); the switch term is
-    doubled because the transmission comes from a two-port extraction of a
-    one-port measurement.
-    """
-    if not s21 > 0:
-        raise UncertaintyError(f"s21 must be > 0, got {s21}")
-    rel = math.sqrt(sigma_ecal**2 + (2.0 * sigma_s21_switch) ** 2)
-    if not rel >= 0:  # false for NaN
-        raise UncertaintyError(f"sigma terms must not be NaN, got {sigma_ecal} and {sigma_s21_switch}")
-    if rel >= 1.0:
-        return math.inf, 20.0 * math.log10(1.0 + rel)
-    return -20.0 * math.log10(1.0 - rel), 20.0 * math.log10(1.0 + rel)

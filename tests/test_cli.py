@@ -239,6 +239,31 @@ def test_uncertainty_trace_mode(tmp_path):
     assert float(first[2]) == pytest.approx(math.sqrt(0.002**2 + 0.005**2))
 
 
+def test_uncertainty_include_rep_adds_the_repeatability_term(tmp_path):
+    in_path = tmp_path / "ramp.s1p"
+    in_path.write_text(s1p_records(range(1, 17)))  # |S11| = f / 1000 at f GHz
+    table = tmp_path / "ecal.csv"
+    table.write_text("s11_db,sigma_linear\n0,0.002\n70,0.009\n")  # sigma = 0.002 + 1e-4 per dB
+    cfg = {"input": str(in_path), "ecal_table": str(table), "sigma_switch_var": 0.005,
+           "sigma_switch_rep": 0.001, "include_rep": True, "frequencies_ghz": [1, 4, 16]}
+    assert run_config(["uncertainty"], cfg, tmp_path) == (0, "")
+    rows = [ln.split(",") for ln in (tmp_path / "out" / "return_loss_table.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "4", "16"]
+    for f_ghz, row in zip((1, 4, 16), rows):
+        ecal = 0.002 + 1e-4 * -20.0 * math.log10(f_ghz / 1000)
+        assert float(row[2]) == pytest.approx(math.sqrt(ecal**2 + 0.005**2 + 0.001**2), rel=1e-8)
+        assert float(row[2]) > math.sqrt(ecal**2 + 0.005**2) * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("include_rep", [True, False])
+def test_negative_repeatability_is_config_error(tmp_path, include_rep):
+    in_path = tmp_path / "ramp.s1p"
+    in_path.write_text(s1p_records(range(1, 17)))
+    cfg = dict(unc_config(tmp_path, in_path), sigma_switch_rep=-0.001, include_rep=include_rep, frequencies_ghz=[4])
+    code, err = run_config(["uncertainty"], cfg, tmp_path)
+    assert code == 2 and "sigma_switch_rep" in err and "Traceback" not in err, err
+
+
 def unc_config(tmp_path, in_path):
     """The README ``unc.json`` keys, for a trace at ``in_path``."""
     table = tmp_path / "ecal.csv"
@@ -771,7 +796,7 @@ def write_moved(path, trace, moved):
     if moved:
         f = trace.grid.frequencies
         f[5] = 6.5e9
-        trace = ComplexTrace(trace.grid, trace.values, uniform=False, freq_hz_raw=f)
+        trace = ComplexTrace(trace.grid, trace.values, freq_hz_raw=f)
     return write_trace(path, trace)
 
 

@@ -143,11 +143,11 @@ def moved_point(trace: ComplexTrace) -> ComplexTrace:
     """The trace with its sixth point's actual frequency moved half a step up.
 
     First point, last point and count are unchanged, so the fitted grid is the
-    original one; only ``uniform`` and the raw frequencies tell them apart.
+    original one; only the raw frequencies tell them apart.
     """
     f = trace.grid.frequencies
     f[5] += 0.5 * trace.grid.step_hz
-    return ComplexTrace(trace.grid, trace.values, uniform=False, freq_hz_raw=f)
+    return ComplexTrace(trace.grid, trace.values, freq_hz_raw=f)
 
 
 def test_non_uniform_trace_rejected(small_grid):

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from cryocal import (
     GATE_PRESETS,
+    FrequencyGrid,
     GateError,
     GateSpec,
+    GridError,
+    TimeTrace,
     apply_gate,
     extract_insertion_loss,
     insertion_loss_db,
@@ -131,6 +134,29 @@ def test_presets_match_documented_parameters():
     ts = GATE_PRESETS["through-short"]
     assert (ts.center_s, ts.span_s, ts.splice_below_cutoff) == (2.15e-9, 3.8e-9, False)
     assert all(g.kaiser_beta == 6.0 for g in GATE_PRESETS.values())
+
+
+@pytest.mark.parametrize(
+    "build,error,field",
+    [
+        (lambda: GateSpec(math.nan, 1e-9), GateError, "center_s"),
+        (lambda: GateSpec(-math.inf, 1e-9), GateError, "center_s"),
+        (lambda: FrequencyGrid(math.inf, 1e6, 3), GridError, "start_hz"),
+        (lambda: FrequencyGrid(math.nan, 1e6, 3), GridError, "start_hz"),
+        (lambda: FrequencyGrid(1e6, math.inf, 3), GridError, "step_hz"),
+        (lambda: FrequencyGrid(1e6, math.nan, 3), GridError, "step_hz"),
+        (lambda: FrequencyGrid(1e6, 1e6, 2.5), GridError, "count"),
+        (lambda: FrequencyGrid(1e6, 1e6, 1), GridError, "count"),
+        (lambda: TimeTrace(math.inf, np.zeros(3)), GateError, "dt_s"),
+        (lambda: TimeTrace(math.nan, np.zeros(3)), GateError, "dt_s"),
+    ],
+    ids=["center-nan", "center-inf", "start-inf", "start-nan", "step-inf", "step-nan",
+         "count-fraction", "count-one", "dt-inf", "dt-nan"],
+)
+def test_non_finite_or_fractional_geometry_is_rejected(build, error, field):
+    # NaN and inf fail every check, and the message names the field
+    with pytest.raises(error, match=field):
+        build()
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

@@ -147,6 +147,18 @@ def test_nonuniform_grid_flagged():
     np.testing.assert_allclose(tr.frequencies, [1e9, 2e9, 4e9])
 
 
+def test_raw_frequencies_must_match_values():
+    from cryocal import GridError
+
+    grid = FrequencyGrid(1e9, 1e9, 4)
+    with pytest.raises(GridError, match="freq_hz_raw length 2 does not match values length 4"):
+        ComplexTrace(grid, np.zeros(4), np.array([1e9, 4e9]))
+    f = np.array([1e9, 2e9, 2.5e9, 4e9])
+    tr = ComplexTrace(grid, np.zeros(4), f)
+    assert not tr.uniform and tr.frequencies is tr.freq_hz_raw
+    np.testing.assert_array_equal(tr.frequencies, f)
+
+
 @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
 def test_write_parse_round_trip(fmt, grid):
     rng = np.random.default_rng(7)
@@ -213,7 +225,7 @@ def test_ri_writer_matches_fstring_form():
     vals[:4] = [0.0, complex(-0.0, -0.0), complex(5e-324, -5e-324), complex(-1.0, 0.0)]
     uniform = ComplexTrace(FrequencyGrid(1e7, 2.5e6, n), vals, z0_ohm=75.0)
     f = np.cumsum(rng.uniform(1e3, 1e6, n)) + 1e9
-    raw = ComplexTrace(FrequencyGrid.from_frequencies(f)[0], vals, False, f, 50.0)
+    raw = ComplexTrace(FrequencyGrid.from_frequencies(f)[0], vals, f, 50.0)
     for trace in (uniform, raw):
         assert write_touchstone(trace) == write_per_row(trace)
 
@@ -291,7 +303,7 @@ def _parse_oracle(text, expected_ports=1):
             mag = a if fmt == "MA" else np.float_power(10.0, a / 20.0)
             values = mag * np.exp(1j * np.radians(b))
     grid, uniform = FrequencyGrid.from_frequencies(freqs)
-    return ComplexTrace(grid, values, uniform, None if uniform else freqs, z0)
+    return ComplexTrace(grid, values, None if uniform else freqs, z0)
 
 
 def _outcome(parse, text):
@@ -440,7 +452,7 @@ def traces(draw, fmt):
         return ComplexTrace(grid, vals, z0_ohm=z0)
     f = np.cumsum(draw(st.lists(st.floats(1.0, 1e9), min_size=n, max_size=n), label="steps"))
     grid, uniform = FrequencyGrid.from_frequencies(f)
-    return ComplexTrace(grid, vals, uniform, None if uniform else f, z0)
+    return ComplexTrace(grid, vals, None if uniform else f, z0)
 
 
 @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
