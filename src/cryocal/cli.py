@@ -138,11 +138,13 @@ def _check(value, kind, name: str):
 
 
 def _build(where: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``, reporting a domain type's rejection as a ConfigError."""
+    """``cls(*args, **kwargs)``, reporting a domain type's rejection as a ConfigError;
+    a message that starts with a keyword argument's name is given its dotted key."""
     try:
         return cls(*args, **kwargs)
     except (DistortionError, GateError, SimulationError, UncertaintyError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        sep = "." if str(exc).split(" ", 1)[0] in kwargs else ": "
+        raise ConfigError(f"{where}{sep}{exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict[str, Path], outputs: list[Path]):

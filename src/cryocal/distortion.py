@@ -77,6 +77,8 @@ class ImpulseResponse:
         delays = [d for d, _ in self.taps]
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise DistortionError("tap delays must be strictly increasing")
+        if delays and not delays[0] >= 0:
+            raise DistortionError(f"tap delays must be >= 0 (a causal response), got {delays[0]}")
 
 
 def impulse_response_taps(model: MismatchModel) -> ImpulseResponse:
@@ -223,33 +225,21 @@ class PulseWaveform:
 def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
     """Superpose delayed, scaled copies of the pulse per the tap ladder.
 
-    Tap delays are rounded to the nearest sample; the sub-sample residue is
-    applied as an exact carrier-phase rotation of that copy (via the
-    analytic signal), which keeps carrier phase accurate at delays the
-    sample grid cannot represent. The output is extended to cover the last
-    tap.
+    Each tap delay is rounded to the nearest sample m; the residue
+    eps = delay - m dt is applied as a carrier-phase rotation of that copy,
+    Re((x + i H[x]) exp(-i theta)) with theta = 2 pi f eps, which keeps the
+    carrier phase exact at delays the sample grid cannot represent (an
+    on-grid tap has theta = 0). The output is extended to cover the last tap.
     """
     x = pulse.samples
-    shifts = []
-    max_shift = 0
-    for delay, amp in h.taps:
-        m = int(round(delay / pulse.dt_s))
-        eps = delay - m * pulse.dt_s
-        shifts.append((m, eps, amp))
-        max_shift = max(max_shift, m)
-
-    # H[x] before the output: the transform's buffers never coexist with it
-    hx = pulse._quadrature if any(abs(eps) > 1e-18 for _, eps, _ in shifts) else None
-    y = np.zeros(x.size + max_shift)
-    for m, eps, amp in shifts:
+    shifts = [(int(round(delay / pulse.dt_s)), delay, amp) for delay, amp in h.taps]
+    hx = pulse._quadrature  # before the output: the transform's buffers never coexist with it
+    y = np.zeros(x.size + max((m for m, _, _ in shifts), default=0))
+    for m, delay, amp in shifts:
+        theta = 2.0 * math.pi * pulse.carrier_hz * (delay - m * pulse.dt_s)
         seg = y[m : m + x.size]
-        if abs(eps) > 1e-18:
-            # Re((x + i H[x]) exp(-i theta)), theta = 2 pi f eps, in real arithmetic
-            theta = 2.0 * math.pi * pulse.carrier_hz * eps
-            seg += (amp * math.cos(theta)) * x
-            seg += (amp * math.sin(theta)) * hx
-        else:
-            seg += amp * x
+        seg += (amp * math.cos(theta)) * x
+        seg += (amp * math.sin(theta)) * hx
     return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)
 
 

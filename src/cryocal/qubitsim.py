@@ -136,7 +136,7 @@ def _sequence_samples(
     n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate
     x = np.zeros(n_gate * len(gates) + 1)
     env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
-    table = _carrier_table(params.omega_q, ds, 2)  # two samples per step: the table evolve uses for these
+    table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
     for i, gate in enumerate(gates):
         if gate.kind == "I":
             continue
@@ -164,10 +164,10 @@ _CHUNK = 1 << 14  # steps reduced per tree; bounds the working set to O(_CHUNK)
 
 
 @lru_cache(maxsize=2)
-def _carrier_table(omega_q: float, ds: float, m: int) -> np.ndarray:
-    """exp(i w_q ds j) for j = 0 .. _CHUNK * m, read-only: the carrier of one
-    chunk of steps of m samples each, shared by every chunk and every call."""
-    table = np.exp(1j * omega_q * (ds * np.arange(_CHUNK * m + 1)))
+def _carrier_table(omega_q: float, ds: float) -> np.ndarray:
+    """exp(i w_q ds j) for j = 0 .. 2 * _CHUNK, read-only: the carrier of one
+    chunk of steps of two samples each, shared by every chunk and every call."""
+    table = np.exp(1j * omega_q * (ds * np.arange(2 * _CHUNK + 1)))
     table.setflags(write=False)
     return table
 
@@ -210,44 +210,36 @@ def _ordered_product(alpha, beta):
 def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> QubitState:
     """Fixed-step RK4 propagation of the Schrodinger equation.
 
-    The waveform sample interval must equal the integrator step or an even
-    subdivision of it (synthesized pulses use dt/2, which supplies exact
-    RK4 midpoint samples); at equal intervals the midpoint drive is the
-    neighbour average. The equation is linear, so each RK4 step is a fixed
-    2x2 matrix of its three drive samples. All step matrices of a chunk of
-    2**14 steps are built at once and multiplied pairwise (later @ earlier)
-    down to one matrix; the chunk products are folded in time order and
-    applied to the input state once. Steps that start after the last
-    nonzero sample see no drive and are exact identities, so they are
-    skipped. Raises if the norm drifts by more than 1e-6.
+    The waveform must be sampled at half the integrator step, the grid
+    :func:`synth_gate_pulse` and both distortion methods produce: each step
+    reads its start, midpoint and end samples. The equation is linear, so
+    each RK4 step is a fixed 2x2 matrix of those three samples. All step
+    matrices of a chunk of 2**14 steps are built at once and multiplied
+    pairwise (later @ earlier) down to one matrix; the chunk products are
+    folded in time order and applied to the input state once. Steps that
+    start after the last nonzero sample see no drive and are exact
+    identities, so they are skipped. Raises if the norm drifts by more than 1e-6.
     """
-    ratio = params.dt_s / waveform.dt_s
-    m = int(round(ratio))
-    if abs(ratio - m) > 1e-9 or m < 1:
+    if abs(params.dt_s / waveform.dt_s - 2.0) > 1e-9:
         raise SimulationError(
-            f"waveform dt {waveform.dt_s:.3e} s is not an integer subdivision of "
-            f"integrator step {params.dt_s:.3e} s"
+            f"waveform dt {waveform.dt_s:.3e} s is not half the integrator step {params.dt_s:.3e} s"
         )
-    if m > 1 and m % 2:
-        raise SimulationError(f"odd subdivision {m} of the integrator step has no RK4 midpoint sample")
     x = waveform.samples
-    n_steps = (x.size - 1) // m
+    n_steps = (x.size - 1) // 2
     last = x.size - 1 - int(np.argmax(x[::-1] != 0))  # the last nonzero sample, if any
-    n_driven = min(n_steps, last // m + 1) if x[last] else 0
+    n_driven = min(n_steps, last // 2 + 1) if x[last] else 0
     w = params.omega_q
     h = params.dt_s
 
     # drive in the interaction picture: u_j = x_j * exp(i w t_j); the carrier
     # over one chunk is shared by all chunks, each rotated by its start phase
     ds = waveform.dt_s
-    carrier = _carrier_table(w, ds, m)
+    carrier = _carrier_table(w, ds)
     alpha, beta = 1.0 + 0.0j, 0.0j
     for s0 in range(0, n_driven, _CHUNK):
-        j0, j1 = s0 * m, min(s0 + _CHUNK, n_driven) * m
+        j0, j1 = 2 * s0, 2 * min(s0 + _CHUNK, n_driven)
         u = x[j0 : j1 + 1] * (cmath.exp(1j * w * (ds * j0)) * carrier[: j1 - j0 + 1])
-        u0, u1 = u[:-1:m], u[m::m]
-        um = 0.5 * (u0 + u1) if m == 1 else u[m // 2 :: m]
-        chunk = _ordered_product(*_rk4_step_matrices(u0, um, u1, h))
+        chunk = _ordered_product(*_rk4_step_matrices(u[:-1:2], u[1::2], u[2::2], h))
         alpha, beta = _compose(*chunk, alpha, beta)
 
     g0, e0 = state.amplitudes

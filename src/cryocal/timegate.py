@@ -36,10 +36,11 @@ class GateSpec:
     def __post_init__(self):
         if not abs(self.center_s) < np.inf:  # false for NaN
             raise GateError(f"center_s must be finite, got {self.center_s}")
-        if not (self.span_s > 0):
-            raise GateError(f"gate span must be > 0, got {self.span_s}")
-        if not (self.kaiser_beta >= 0):
-            raise GateError(f"kaiser beta must be >= 0, got {self.kaiser_beta}")
+        if not 0 < self.span_s < np.inf:  # false for NaN
+            raise GateError(f"gate span must be finite and > 0, got {self.span_s}")
+        with np.errstate(over="ignore", invalid="ignore"):  # I0 overflows from beta ~ 713 on
+            if not (self.kaiser_beta >= 0 and np.i0(self.kaiser_beta) < np.inf):  # false for NaN
+                raise GateError(f"kaiser_beta must be >= 0 with a finite I0(kaiser_beta), got {self.kaiser_beta}")
 
     @property
     def cutoff_hz(self) -> float:
@@ -129,7 +130,8 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
 
     The window has unit peak so an isolated in-gate reflector keeps its
     mid-band amplitude. With ``splice_below_cutoff`` the original ungated
-    data replaces all points strictly below 1/span.
+    data replaces all points strictly below 1/span. A window that covers no
+    time sample, as every gate outside the measurable span does, is a GateError.
     """
     h = to_time_domain(trace)
     n_full = h.values.size
@@ -138,19 +140,14 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
     k = np.arange(n_full)
     t = np.where(k < n_full // 2, k, k - n_full) * h.dt_s
 
-    half_span = t[n_full // 2]  # most negative representable delay
-    t_max = t[n_full // 2 - 1]
-    lo = gate.center_s - gate.span_s / 2.0
-    hi = gate.center_s + gate.span_s / 2.0
-    if hi < half_span or lo > t_max:
-        raise GateError(
-            f"gate [{lo:.3e}, {hi:.3e}] s lies outside the measurable span "
-            f"[{half_span:.3e}, {t_max:.3e}] s"
-        )
-
     w = _kaiser_continuous(t, gate.center_s, gate.span_s, gate.kaiser_beta)
     if not np.any(w > 0):
-        raise GateError("gate window does not overlap any time sample")
+        lo = gate.center_s - gate.span_s / 2.0
+        hi = gate.center_s + gate.span_s / 2.0
+        raise GateError(
+            f"gate [{lo:.3e}, {hi:.3e}] s covers no time sample of the measurable span "
+            f"[{t[n_full // 2]:.3e}, {t[n_full // 2 - 1]:.3e}] s"
+        )
 
     gated = np.fft.rfft(h.values * w, n=n_full)[-trace.grid.count :]  # bins 0..n_end: the measured ones last
 

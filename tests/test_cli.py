@@ -596,6 +596,7 @@ BAD_VALUES = [
     ("gate", ("input",), 5, "input"),
     ("gate", ("gate", "span_ns"), "x", "gate.span_ns"),
     ("gate", ("gate", "splice"), "false", "gate.splice"),
+    ("gate", ("gate", "kaiser_beta"), 1000, "gate.kaiser_beta"),
     ("uncertainty-rows", ("rows",), [1], "rows[0]"),
     ("uncertainty-rows", ("rows", 0, "s11"), "x", "rows[0].s11"),
     ("uncertainty-trace", ("include_rep",), 1, "include_rep"),

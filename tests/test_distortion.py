@@ -86,6 +86,8 @@ def test_model_validation():
         MismatchModel(15.0, 15.0, 0.3, v_p=1.5 * C)
     with pytest.raises(DistortionError):
         ImpulseResponse(taps=((0.0, 1.0), (0.0, 0.5)))
+    with pytest.raises(DistortionError, match=">= 0"):
+        ImpulseResponse(taps=((-2e-12, 1.0), (1e-9, 0.5)))
     # NaN fails every comparison, so each check must be one that NaN fails
     nan = math.nan
     for args in [(15.0, 15.0, nan), (nan, 15.0, 0.276), (15.0, nan, 0.276), (15.0, 15.0, math.inf)]:

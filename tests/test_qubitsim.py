@@ -40,14 +40,13 @@ def pop_e(state):
 
 def _rk4_oracle(state, waveform, params):
     """Reference propagator: one scalar RK4 step per Python loop iteration."""
-    m = int(round(params.dt_s / waveform.dt_s))
-    x = waveform.samples
-    n_steps = (x.size - 1) // m
+    x = waveform.samples  # sampled at dt/2: start, midpoint and end of each step
+    n_steps = (x.size - 1) // 2
     w = params.omega_q
     ds = waveform.dt_s
 
     # drive in the interaction picture: u_j = x_j * exp(i w t_j)
-    t = ds * np.arange(n_steps * m + 1)
+    t = ds * np.arange(n_steps * 2 + 1)
     u = (x[: t.size] * np.exp(1j * w * t)).tolist()
 
     g, e = complex(state.amplitudes[0]), complex(state.amplitudes[1])
@@ -55,11 +54,7 @@ def _rk4_oracle(state, waveform, params):
     half = 0.5 * h
     sixth = h / 6.0
     for n in range(n_steps):
-        j0 = n * m
-        j1 = j0 + m
-        u0 = u[j0]
-        u1 = u[j1]
-        um = 0.5 * (u0 + u1) if m == 1 else u[j0 + m // 2]
+        u0, um, u1 = u[2 * n], u[2 * n + 1], u[2 * n + 2]
 
         c0 = u0.conjugate()
         cm = um.conjugate()
@@ -168,12 +163,12 @@ def test_norm_conservation_60ns():
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
-def _beating_drive(n_steps, m=2):
+def _beating_drive(n_steps):
     # resonant carrier under a 7 ns beat; one spare trailing sample, which
     # evolve ignores because it starts no full step
-    t = PARAMS.dt_s / m * np.arange(n_steps * m + 2)
+    t = PARAMS.dt_s / 2 * np.arange(n_steps * 2 + 2)
     x = 1e9 * np.cos(PARAMS.omega_q * t + 0.3) * np.cos(2 * math.pi * t / 7e-9)
-    return PulseWaveform(PARAMS.dt_s / m, x, PARAMS.f_q)
+    return PulseWaveform(PARAMS.dt_s / 2, x, PARAMS.f_q)
 
 
 def _xy_60ns_through_taps():
@@ -199,11 +194,6 @@ def test_evolve_matches_rk4_oracle_x_pulse(x_pulse):
 
 def test_evolve_matches_rk4_oracle_free_evolution():
     assert_matches_oracle(EXCITED, PulseWaveform(PARAMS.dt_s / 2, np.zeros(2001), PARAMS.f_q))
-
-
-def test_evolve_matches_rk4_oracle_at_step_interval(x_pulse):
-    # samples at dt itself: the midpoint drive is the neighbour average
-    assert_matches_oracle(GROUND, PulseWaveform(PARAMS.dt_s, x_pulse.samples[::2], PARAMS.f_q))
 
 
 def test_evolve_matches_rk4_oracle_xy_60ns_through_taps():
@@ -239,11 +229,11 @@ def test_evolve_skips_the_zero_tail_exactly(last, n_steps):
     assert_matches_oracle(QubitState(np.array([1.0, 1.0j]) / math.sqrt(2)), wf)
 
 
-@pytest.mark.parametrize("m", [3, 5])
-def test_odd_subdivision_rejected(m):
-    # an odd subdivision has no sample at the RK4 midpoint t + dt/2
+@pytest.mark.parametrize("m", [1, 3, 4, 5])
+def test_drive_off_the_half_step_grid_rejected(m):
+    # each RK4 step reads its start, midpoint and end: samples at dt/2 only
     wf = PulseWaveform(PARAMS.dt_s / m, np.zeros(10 * m + 1), PARAMS.f_q)
-    with pytest.raises(SimulationError, match="odd subdivision"):
+    with pytest.raises(SimulationError, match="not half the integrator step"):
         evolve(GROUND, wf, PARAMS)
 
 
@@ -279,7 +269,7 @@ def test_sequence_samples_match_the_direct_carrier(kind, duration_s):
 
 def test_sequence_samples_match_the_direct_carrier_over_many_table_blocks():
     # each 60 ns gate spans several carrier-table blocks
-    table = qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2, 2)
+    table = qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2)
     assert 120_001 > 3 * table.size
     assert_matches_direct_sequence([GateOp("X"), GateOp("Y")], 60e-9, {"X": 3e8, "Y": 2e8})
 
@@ -437,7 +427,7 @@ def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
         tracemalloc.stop()
     n = 240_001  # samples of a 60 ns XY pair
     tables = distortion._hilbert_spectrum(n, distortion._fast_len(2 * n - 1)).nbytes
-    tables += qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2, 2).nbytes
+    tables += qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2).nbytes
     assert peak + tables <= 15e6, (peak, tables)
 
 

@@ -87,8 +87,13 @@ def test_cutoff_is_inverse_span():
 def test_gate_outside_record_rejected():
     tr = reflector_trace(WIDE, [(0.5, 1e-9)])
     span = 1.0 / WIDE.step_hz
-    with pytest.raises(GateError):
+    message = r"gate \[.*\] s covers no time sample of the measurable span \[.*\] s"
+    with pytest.raises(GateError, match=message):
         apply_gate(tr, GateSpec(center_s=2 * span, span_s=1e-9))
+    # inside the span, but narrower than the sample interval and between two samples
+    dt = to_time_domain(tr).dt_s
+    with pytest.raises(GateError, match=message):
+        apply_gate(tr, GateSpec(center_s=10.5 * dt, span_s=0.1 * dt))
 
 
 def test_unaligned_grid_rejected():
@@ -141,6 +146,10 @@ def test_presets_match_documented_parameters():
     [
         (lambda: GateSpec(math.nan, 1e-9), GateError, "center_s"),
         (lambda: GateSpec(-math.inf, 1e-9), GateError, "center_s"),
+        (lambda: GateSpec(0.0, math.inf), GateError, "span"),
+        (lambda: GateSpec(0.0, 1e-9, 720.0), GateError, "kaiser_beta"),
+        (lambda: GateSpec(0.0, 1e-9, math.inf), GateError, "kaiser_beta"),
+        (lambda: GateSpec(0.0, 1e-9, math.nan), GateError, "kaiser_beta"),
         (lambda: FrequencyGrid(math.inf, 1e6, 3), GridError, "start_hz"),
         (lambda: FrequencyGrid(math.nan, 1e6, 3), GridError, "start_hz"),
         (lambda: FrequencyGrid(1e6, math.inf, 3), GridError, "step_hz"),
@@ -150,8 +159,8 @@ def test_presets_match_documented_parameters():
         (lambda: TimeTrace(math.inf, np.zeros(3)), GateError, "dt_s"),
         (lambda: TimeTrace(math.nan, np.zeros(3)), GateError, "dt_s"),
     ],
-    ids=["center-nan", "center-inf", "start-inf", "start-nan", "step-inf", "step-nan",
-         "count-fraction", "count-one", "dt-inf", "dt-nan"],
+    ids=["center-nan", "center-inf", "span-inf", "beta-i0-overflow", "beta-inf", "beta-nan", "start-inf",
+         "start-nan", "step-inf", "step-nan", "count-fraction", "count-one", "dt-inf", "dt-nan"],
 )
 def test_non_finite_or_fractional_geometry_is_rejected(build, error, field):
     # NaN and inf fail every check, and the message names the field
