@@ -47,6 +47,7 @@ from .qubitsim import (
     GateOp,
     QubitParams,
     SimulationError,
+    XY_PAIR,
     sweep_length,
     sweep_return_loss,
     synth_gate_pulse,
@@ -226,8 +227,8 @@ def _gate_from_config(cfg: dict, preset_flag: str | None) -> GateSpec:
         "gate", GateSpec,
         center_s=_get(block, "center_ns", float, where="gate") * 1e-9,
         span_s=_get(block, "span_ns", float, where="gate") * 1e-9,
-        kaiser_beta=_get(block, "kaiser_beta", float, 6.0, "gate"),
-        splice_below_cutoff=_get(block, "splice", bool, False, "gate"),
+        kaiser_beta=_get(block, "kaiser_beta", float, GateSpec.kaiser_beta, "gate"),
+        splice_below_cutoff=_get(block, "splice", bool, GateSpec.splice_below_cutoff, "gate"),
     )
 
 
@@ -293,7 +294,7 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
         in_path = inputs["input"] = _get(cfg, "input", Path)
         table_path = inputs["ecal_table"] = _get(cfg, "ecal_table", Path)
         sigma_var = _get(cfg, "sigma_switch_var", float)
-        sigma_rep = _get(cfg, "sigma_switch_rep", float, 0.0)
+        sigma_rep = _get(cfg, "sigma_switch_rep", float, ErrorBudget.sigma_switch_rep)
         include_rep = _get(cfg, "include_rep", bool, False)
         trace = read_touchstone_file(in_path)
         table = _read_ecal_table(table_path)
@@ -343,8 +344,8 @@ def _mismatch_model(block: dict) -> MismatchModel:
         rl1_db=_get(block, "rl1_db", float, rl, "model"),
         rl2_db=_get(block, "rl2_db", float, rl, "model"),
         length_m=_get(block, "length_m", float, where="model"),
-        v_p=_get(block, "v_p_over_c", float, 0.7, "model") * C_VACUUM,
-        max_reflections=_get(block, "max_reflections", int, 5, "model"),
+        v_p=_get(block, "v_p_over_c", float, MismatchModel.v_p / C_VACUUM, "model") * C_VACUUM,
+        max_reflections=_get(block, "max_reflections", int, MismatchModel.max_reflections, "model"),
     )
 
 
@@ -361,7 +362,7 @@ def _axis(cfg: dict) -> np.ndarray:
 
 
 def _pairs(cfg: dict) -> tuple[tuple[str, ...], ...]:
-    pairs = _get(cfg, "pairs", [[str]], [["X", "Y"]])
+    pairs = _get(cfg, "pairs", [[str]], XY_PAIR)
     if not pairs or not all(p and set(p) <= set(ALLXY_GATES) for p in pairs):
         raise ConfigError(f"pairs must be a non-empty list of lists of gate names {list(ALLXY_GATES)}, got {pairs!r}")
     return tuple(tuple(p) for p in pairs)
@@ -446,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cryocal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(parent, name, help, handler, command=None, preset=False, threads=False):
+    def leaf(parent, name, help, handler, preset=False, threads=False):
         p = parent.add_parser(name, help=help)
-        p.set_defaults(handler=handler, manifest_command=command or name)
+        p.set_defaults(handler=handler, manifest_command=p.prog.removeprefix(f"{parser.prog} "))
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         if preset:
@@ -463,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fid = sub.add_parser("fidelity", help="gate-fidelity deviation sweeps")
     fid_sub = fid.add_subparsers(dest="mode", required=True)
-    leaf(fid_sub, "sweep-length", "1-F versus line length", cmd_fidelity, "fidelity sweep-length", threads=True)
-    leaf(fid_sub, "sweep-rl", "1-F versus return loss", cmd_fidelity, "fidelity sweep-rl", threads=True)
+    leaf(fid_sub, "sweep-length", "1-F versus line length", cmd_fidelity, threads=True)
+    leaf(fid_sub, "sweep-rl", "1-F versus return loss", cmd_fidelity, threads=True)
 
     pulse = sub.add_parser("pulse", help="pulse utilities")
     pulse_sub = pulse.add_subparsers(dest="mode", required=True)
-    leaf(pulse_sub, "synth", "synthesize a calibrated (optionally distorted) gate pulse", cmd_pulse_synth, "pulse synth")
+    leaf(pulse_sub, "synth", "synthesize a calibrated (optionally distorted) gate pulse", cmd_pulse_synth)
 
     return parser
 

@@ -16,10 +16,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .timegate import TimeTrace
-from .traces import _freeze
+from .traces import _check_sample_count, _freeze
 
 C_VACUUM = 299792458.0
-DEFAULT_VP = 0.7 * C_VACUUM
 
 
 class DistortionError(ValueError):
@@ -33,7 +32,7 @@ class MismatchModel:
     rl1_db: float
     rl2_db: float
     length_m: float
-    v_p: float = DEFAULT_VP
+    v_p: float = 0.7 * C_VACUUM
     max_reflections: int = 5
 
     def __post_init__(self):
@@ -112,6 +111,7 @@ def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: fl
     tau0 = model.transit_s
     if window_s < tau0 + 2.0 * model.spacing_s:
         raise DistortionError("window too short to localize the tap ladder")
+    _check_sample_count(2.0 * window_s * f_max_hz, DistortionError, "the response window")
     n_half = int(round(window_s * f_max_hz))
     if n_half == 0:
         raise DistortionError(
@@ -232,6 +232,8 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
     on-grid tap has theta = 0). The output is extended to cover the last tap.
     """
     x = pulse.samples
+    last = max((delay for delay, _ in h.taps), default=0.0)
+    _check_sample_count(x.size + last / pulse.dt_s, DistortionError, "the distorted waveform")
     shifts = [(int(round(delay / pulse.dt_s)), delay, amp) for delay, amp in h.taps]
     hx = pulse._quadrature  # before the output: the transform's buffers never coexist with it
     y = np.zeros(x.size + max((m for m, _, _ in shifts), default=0))

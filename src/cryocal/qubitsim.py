@@ -26,7 +26,7 @@ import numpy as np
 
 from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, distort
 from .distortion import distort_with_response, impulse_response_fourier, impulse_response_taps
-from .traces import _freeze
+from .traces import _check_sample_count, _freeze
 
 
 class SimulationError(RuntimeError):
@@ -61,7 +61,7 @@ _GATE_TABLE = {
     "Y90": (math.pi / 2.0, math.pi / 2.0),
 }
 
-ALLXY_GATES = ("I", "X", "Y", "X90", "Y90")
+ALLXY_GATES = tuple(_GATE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,9 @@ def _sequence_samples(
     if duration_s <= 10.0 * params.dt_s:
         raise SimulationError("duration must exceed 10 integrator steps")
     ds = params.dt_s / 2.0
-    n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate
+    steps = duration_s / params.dt_s  # per gate
+    _check_sample_count(2.0 * steps * len(gates), SimulationError, "the drive")
+    n_gate = int(round(steps)) * 2  # samples per gate
     x = np.zeros(n_gate * len(gates) + 1)
     env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
     table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
@@ -375,29 +377,25 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
         wf = _sequence_samples(gates, duration_s, amplitudes, params)
         for i, taps in enumerate(ladders):
             dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
-            ref_wf = distort(wf, ImpulseResponse(taps=taps.taps[:1]))
+            ref = distort(wf, ImpulseResponse(taps=taps.taps[:1])).samples
             if i == len(ladders) - 1:
-                del wf  # with its analytic signal, before the padded copies below
-            # evolve over a common horizon so lab-frame phases cancel in the overlap
-            n = max(ref_wf.samples.size, dist_wf.samples.size)
-            ref_wf = _pad(ref_wf, n)
-            dist_wf = _pad(dist_wf, n)
+                del wf  # with its analytic signal, before the padded copy below
+            # evolve over a common horizon so lab-frame phases cancel in the overlap; the distorted
+            # lane reaches past the direct tap (to the last tap or the window), so it is never shorter
+            ref_wf = replace(dist_wf, samples=np.pad(ref, (0, dist_wf.samples.size - ref.size)))
             f = fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params))
             out[i, j] = max(0.0, 1.0 - f)
     return out
 
 
-def _pad(wf: PulseWaveform, n: int) -> PulseWaveform:
-    if wf.samples.size >= n:
-        return wf
-    padded = np.zeros(n)
-    padded[: wf.samples.size] = wf.samples
-    return PulseWaveform(wf.dt_s, padded, wf.carrier_hz)
-
-
-def _run_sweep(models, axis, duration_s, params, pairs, method) -> FidelitySweepResult:
-    if not models:
+def _run_sweep(template, values, fields, what, duration_s, params, pairs, method) -> FidelitySweepResult:
+    """1-F per pair with every one of the template's ``fields`` set to each positive axis value in turn."""
+    axis = np.asarray(values, dtype=float)
+    if not np.all(axis > 0):  # false for NaN
+        raise SimulationError(f"{what} must be positive")
+    if not axis.size:
         raise SimulationError("sweep axis is empty")
+    models = [replace(template, **dict.fromkeys(fields, float(v))) for v in axis]
     deviation = _deviations(models, duration_s, params, pairs, method)
     return FidelitySweepResult(axis, tuple(tuple(p) for p in pairs), deviation)
 
@@ -416,11 +414,7 @@ def sweep_length(
     ``workers`` is accepted for compatibility and changes nothing: every
     sweep point runs in this process.
     """
-    lengths = np.asarray(lengths_m, dtype=float)
-    if not np.all(lengths > 0):  # false for NaN
-        raise SimulationError("lengths must be positive")
-    models = [replace(model_template, length_m=float(L)) for L in lengths]
-    return _run_sweep(models, lengths, duration_s, params, pairs, method)
+    return _run_sweep(model_template, lengths_m, ("length_m",), "lengths", duration_s, params, pairs, method)
 
 
 def sweep_return_loss(
@@ -437,9 +431,6 @@ def sweep_return_loss(
     ``workers`` is accepted for compatibility and changes nothing: every
     sweep point runs in this process.
     """
-    rls = np.asarray(rls_db, dtype=float)
-    if not np.all(rls > 0):  # false for NaN
-        raise SimulationError("return losses must be positive")
-    models = [replace(model_template, rl1_db=float(rl), rl2_db=float(rl)) for rl in rls]
-    return _run_sweep(models, rls, duration_s, params, pairs, method)
+    fields = ("rl1_db", "rl2_db")
+    return _run_sweep(model_template, rls_db, fields, "return losses", duration_s, params, pairs, method)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .traces import ComplexTrace, _freeze
 
-DEFAULT_KAISER_BETA = 6.0
 MIN_POINTS = 16
 
 
@@ -30,7 +29,7 @@ class GateSpec:
 
     center_s: float
     span_s: float
-    kaiser_beta: float = DEFAULT_KAISER_BETA
+    kaiser_beta: float = 6.0
     splice_below_cutoff: bool = False
 
     def __post_init__(self):
@@ -52,9 +51,9 @@ class GateSpec:
 # (with low-frequency splice), connector gate, and the shifted gate that
 # isolates the reflection from a shorting cap at the far end of a cable.
 GATE_PRESETS = {
-    "atten": GateSpec(0.0, 5e-9, DEFAULT_KAISER_BETA, True),
-    "connector": GateSpec(0.0, 3e-9, DEFAULT_KAISER_BETA, False),
-    "through-short": GateSpec(2.15e-9, 3.8e-9, DEFAULT_KAISER_BETA, False),
+    "atten": GateSpec(0.0, 5e-9, splice_below_cutoff=True),
+    "connector": GateSpec(0.0, 3e-9),
+    "through-short": GateSpec(2.15e-9, 3.8e-9),
 }
 
 

@@ -25,6 +25,13 @@ def _freeze(a, dtype=None) -> np.ndarray:
     return out
 
 
+def _check_sample_count(count: float, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming ``count`` when numpy would refuse an array of that many
+    float64 samples (more bytes than the largest intp); NaN and inf raise too."""
+    if not count <= np.iinfo(np.intp).max // 8:
+        raise error(f"{what} needs {count:.6g} samples, more than numpy can allocate")
+
+
 def _bad_byte_line(exc: UnicodeDecodeError) -> int:
     """Line, from 1 and split as by ``str.splitlines``, of the byte ``exc`` could not decode."""
     return len((exc.object[: exc.start].decode(exc.encoding) + "x").splitlines())  # "x" ends no line

@@ -74,10 +74,11 @@ def combine_rss(budget: ErrorBudget, include_rep: bool = False) -> float:
     ``include_rep`` adds the switch-repeatability term, which changes the
     total by at most a couple of percent and is informational.
     """
-    total = budget.sigma_ecal**2 + budget.sigma_switch_var**2
-    if include_rep:
-        total += budget.sigma_switch_rep**2
-    return math.sqrt(total)
+    terms = (budget.sigma_ecal, budget.sigma_switch_var, budget.sigma_switch_rep)[: 3 if include_rep else 2]
+    try:
+        return math.sqrt(sum(s**2 for s in terms))
+    except OverflowError:  # a square beyond the float range, which hypot never forms
+        return math.hypot(*terms)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import cryocal
 from cryocal import (
+    XY_PAIR,
     ComplexTrace,
+    GateSpec,
     MismatchModel,
     QubitParams,
     forward_model,
@@ -23,7 +25,7 @@ from cryocal import (
     sweep_return_loss,
     write_touchstone,
 )
-from cryocal.cli import CROSSING_THRESHOLDS, _read_ecal_table, main
+from cryocal.cli import CROSSING_THRESHOLDS, _gate_from_config, _mismatch_model, _pairs, _read_ecal_table, main
 from cryocal.distortion import C_VACUUM
 
 from conftest import (
@@ -414,6 +416,13 @@ def fidelity_config(tmp_path, **overrides):
     return cfg
 
 
+def test_cli_defaults_are_the_library_types_own():
+    assert _mismatch_model({"length_m": 0.276}) == MismatchModel(15.0, 15.0, 0.276)
+    # 3 * 1e-9 is the CLI's ns -> s conversion; it is one ulp above the literal 3e-9
+    assert _gate_from_config({"gate": {"center_ns": 0, "span_ns": 3}}, None) == GateSpec(0.0, 3 * 1e-9)
+    assert _pairs({}) == XY_PAIR
+
+
 def test_fidelity_unknown_gate_name_is_config_error(tmp_path, capsys):
     cfg = fidelity_config(tmp_path, pairs=[["X", "Z"]])
     assert run(["fidelity", "sweep-rl", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -562,6 +571,26 @@ def test_pulse_model_with_a_vanishing_direct_tap_is_data_error(valid, tmp_path):
     assert code == 3 and "direct tap vanishes" in err and "Traceback" not in err, err
 
 
+# (subcommand, changed keys, exit code): each run asks for more samples than numpy
+# can allocate, a request numpy rejects before it allocates anything
+OVERSIZED = [
+    ("pulse", {("duration_ns",): 1e30}, 4),
+    ("pulse", {("qubit", "dt_ps"): 1e-300}, 4),
+    ("fidelity", {("model", "length_m"): 1e300}, 3),
+    ("fidelity", {("model", "v_p_over_c"): 1e-300}, 3),
+    ("fidelity", {("model", "length_m"): 1e300, ("method",): "fourier"}, 3),
+]
+
+
+@pytest.mark.parametrize("name,changes,code", OVERSIZED)
+def test_oversized_sample_count_is_an_error_naming_it(valid, tmp_path, name, changes, code):
+    argv, cfg = valid[1][name]
+    for path, value in changes.items():
+        cfg = mutated(cfg, path, value)
+    got, err = run_config(argv, cfg, tmp_path)
+    assert got == code and "samples, more than numpy can allocate" in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("name", ["cal", "gate", "extract-loss", "uncertainty-rows", "uncertainty-trace", "fidelity", "pulse"])
 def test_small_configs_are_valid(valid, name, tmp_path):
     argv, cfg = valid[1][name]
@@ -631,7 +660,7 @@ def test_non_numeric_ecal_cell_is_config_error(valid, tmp_path):
     assert code == 2 and "ecal.csv, line 4" in err and "Traceback" not in err
 
 
-FUZZ_VALUES = (DROP, None, "x", True, [1], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0)
+FUZZ_VALUES = (DROP, None, "x", True, [1], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 1e300, 1e-300)
 
 
 @pytest.mark.parametrize("name", ["cal", "gate", "extract-loss", "uncertainty-rows", "uncertainty-trace", "fidelity", "pulse"])
@@ -639,7 +668,7 @@ FUZZ_VALUES = (DROP, None, "x", True, [1], {"a": 1}, math.nan, math.inf, -math.i
 @given(data=st.data())
 def test_mutated_config_keeps_exit_code_contract(valid, name, data):
     # One field is dropped, nulled, given another type or a NaN, infinite,
-    # negative or zero value; none of these raises the work a run does.
+    # negative, zero, huge or tiny value; none of these raises the work a run does.
     work, configs = valid
     argv, cfg = configs[name]
     path = data.draw(st.sampled_from(list(key_paths(cfg))), label="path")

@@ -24,6 +24,10 @@ def test_rss_with_repeatability():
     assert combine_rss(budget, include_rep=True) == pytest.approx(math.sqrt(25e-6 + 0.16e-6))
 
 
+def test_rss_of_a_term_whose_square_overflows_is_finite():
+    assert combine_rss(ErrorBudget(sigma_ecal=0.002, sigma_switch_var=1e300)) == 1e300
+
+
 def test_rep_term_bounded_effect():
     budget = ErrorBudget(sigma_ecal=0.0, sigma_switch_var=0.005, sigma_switch_rep=0.001)
     assert budget.sigma_switch_rep <= 0.2 * budget.sigma_switch_var
