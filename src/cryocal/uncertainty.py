@@ -74,11 +74,8 @@ def combine_rss(budget: ErrorBudget, include_rep: bool = False) -> float:
     ``include_rep`` adds the switch-repeatability term, which changes the
     total by at most a couple of percent and is informational.
     """
-    terms = (budget.sigma_ecal, budget.sigma_switch_var, budget.sigma_switch_rep)[: 3 if include_rep else 2]
-    try:
-        return math.sqrt(sum(s**2 for s in terms))
-    except OverflowError:  # a square beyond the float range, which hypot never forms
-        return math.hypot(*terms)
+    terms = (budget.sigma_ecal, budget.sigma_switch_var, budget.sigma_switch_rep)
+    return math.hypot(*terms[: 3 if include_rep else 2])
 
 
 @dataclass(frozen=True)

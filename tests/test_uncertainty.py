@@ -28,6 +28,11 @@ def test_rss_of_a_term_whose_square_overflows_is_finite():
     assert combine_rss(ErrorBudget(sigma_ecal=0.002, sigma_switch_var=1e300)) == 1e300
 
 
+def test_rss_whose_sum_of_squares_overflows_is_finite():
+    budget = ErrorBudget(sigma_ecal=0.0, sigma_switch_var=1e154, sigma_switch_rep=1e154)
+    assert combine_rss(budget, include_rep=True) == pytest.approx(math.sqrt(2) * 1e154)
+
+
 def test_rep_term_bounded_effect():
     budget = ErrorBudget(sigma_ecal=0.0, sigma_switch_var=0.005, sigma_switch_rep=0.001)
     assert budget.sigma_switch_rep <= 0.2 * budget.sigma_switch_var
