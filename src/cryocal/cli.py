@@ -499,6 +499,10 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"cryocal: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a size numpy accepts but this host cannot hold
+        detail = f": {exc}" if str(exc) else ""
+        print(f"cryocal: out of memory: the run needs more memory than this host has{detail}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -207,7 +207,7 @@ class PulseWaveform:
             raise DistortionError("waveform needs at least two samples")
         if not np.all(np.isfinite(v)):
             raise DistortionError("waveform contains non-finite samples")
-        object.__setattr__(self, "samples", _freeze(v))  # copy after the checks: the mask and copy never coexist
+        object.__setattr__(self, "samples", _freeze(v))  # after the checks: a copy and the mask never coexist
 
     @property
     def times(self) -> np.ndarray:
@@ -242,6 +242,7 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
         seg = y[m : m + x.size]
         seg += (amp * math.cos(theta)) * x
         seg += (amp * math.sin(theta)) * hx
+    y.setflags(write=False)  # built only for the waveform, which adopts it
     return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)
 
 

@@ -109,12 +109,17 @@ def fidelity(a: QubitState, b: QubitState) -> float:
 
 
 def _truncated_gaussian_envelope(t: np.ndarray, duration: float) -> np.ndarray:
-    """Unit-peak Gaussian, sigma = duration/4, baseline-subtracted to zero at the edges."""
+    """Unit-peak Gaussian, sigma = duration/4, baseline-subtracted to zero at the
+    edges; every step after ``t - duration/2`` works in place on that one array."""
     sigma = duration / 4.0
-    g = np.exp(-((t - duration / 2.0) ** 2) / (2.0 * sigma**2))
     g0 = math.exp(-((duration / 2.0) ** 2) / (2.0 * sigma**2))
-    env = (g - g0) / (1.0 - g0)
-    return np.clip(env, 0.0, None)
+    env = t - duration / 2.0
+    env *= env
+    env /= -(2.0 * sigma**2)
+    np.exp(env, out=env)
+    env -= g0
+    env /= 1.0 - g0
+    return np.maximum(env, 0.0, out=env)
 
 
 def _sequence_samples(
@@ -148,6 +153,7 @@ def _sequence_samples(
             j0 = i * n_gate + b
             psi = params.omega_q * (ds * j0) + gate.phase_rad
             x[j0 : j0 + c.size] += (amp * env[b : b + c.size]) * (math.cos(psi) * c.real - math.sin(psi) * c.imag)
+    x.setflags(write=False)  # built only for the waveform, which adopts it
     return PulseWaveform(ds, x, params.f_q)
 
 
@@ -178,35 +184,67 @@ def _compose(a2, b2, a1, b1):
     """(alpha, beta) of M2 @ M1, each M = [[alpha, -conj(beta)], [beta, conj(alpha)]].
 
     That form is closed under multiplication, so the pair (alpha, beta)
-    carries the whole 2x2 matrix. Works elementwise on arrays and on scalars.
+    carries the whole 2x2 matrix. Works elementwise on arrays of any length,
+    one included, and builds three new arrays: the two results and one
+    temporary that serves both cross terms.
     """
-    return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
+    a = a2 * a1
+    t = np.conj(b2)
+    t *= b1
+    a -= t
+    b = b2 * a1
+    np.conj(a2, out=t)
+    t *= b1
+    b += t
+    return a, b
 
 
-def _rk4_step_matrices(u0, um, u1, h):
-    """(alpha, beta) of the RK4 step matrix of every step, from its drive samples.
+def _rk4_step_matrices(x0, xm, x1, h, cm, e1):
+    """(alpha, beta) of the RK4 step matrix of every step, from its real drive
+    samples x0, xm, x1 (start, midpoint, end), the carrier cm = exp(i w t) at
+    its midpoint and the carrier's turn e1 = exp(-i w h/2) from a sample to the next.
 
-    With A(u) = -i [[0, conj(u)], [u, 0]], one RK4 step maps the state by
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A0, K2 = Am (I + h/2 K1),
-    K3 = Am (I + h/2 K2) and K4 = A1 (I + h K3). Products of two zero-diagonal
-    matrices are diagonal and Am Am = -|um|^2 I, so M expands in closed form
-    and has the (alpha, beta) structure of :func:`_compose`.
+    With u = x exp(i w t) and A(u) = -i [[0, conj(u)], [u, 0]], one RK4 step
+    maps the state by M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A0,
+    K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2) and K4 = A1 (I + h K3).
+    Products of two zero-diagonal matrices are diagonal and Am Am = -|um|^2 I,
+    so M expands in closed form and has the (alpha, beta) structure of :func:`_compose`:
+
+        alpha = 1 - h^2/6 (|um|^2 + conj(um) u0 + conj(u1) um - h^2/4 |um|^2 conj(u1) u0)
+        beta = -i h/6 ((1 - h^2/2 |um|^2) (u0 + u1) + 4 um)
+
+    The carrier turns by e1 within a step, so conj(um) u0 = xm x0 e1,
+    conj(u1) um = x1 xm e1, conj(u1) u0 = x0 x1 e1^2, |um|^2 = xm^2 and
+    u0 + u1 = cm (x0 e1 + x1 conj(e1)). Both parts of alpha and of beta / cm
+    are therefore real arithmetic on the samples, and cm enters in one complex product.
     """
-    d = -(um.real**2 + um.imag**2)
-    alpha = 1.0 + (h * h / 6.0) * (d - np.conj(um) * u0 - np.conj(u1) * um - (0.25 * h * h) * d * np.conj(u1) * u0)
-    beta = (-1j * h / 6.0) * ((1.0 + 0.5 * h * h * d) * (u0 + u1) + 4.0 * um)
+    c = h * h / 6.0
+    e2 = e1 * e1
+    d = xm * xm
+    xs = x0 + x1
+    p = xm * xs  # conj(um) u0 + conj(u1) um = e1 p
+    q = d * x0 * x1  # |um|^2 conj(u1) u0 = e2 q
+    alpha = np.empty(d.size, complex)
+    alpha.real = 1.0 - c * d - (c * e1.real) * p + (0.25 * h * h * c * e2.real) * q
+    alpha.imag = (0.25 * h * h * c * e2.imag) * q - (c * e1.imag) * p
+    s = 1.0 - (0.5 * h * h) * d
+    beta = np.empty(d.size, complex)  # -i h/6 (s (x0 e1 + x1 conj(e1)) + 4 xm), then times cm
+    beta.real = (h / 6.0 * e1.imag) * s * (x0 - x1)
+    beta.imag = (-h / 6.0 * e1.real) * s * xs - (4.0 * h / 6.0) * xm
+    beta *= cm
     return alpha, beta
 
 
 def _ordered_product(alpha, beta):
-    """(alpha, beta) of M[n-1] @ ... @ M[0] by pairwise reduction in log2(n) levels."""
+    """(alpha, beta) of M[n-1] @ ... @ M[0], as one-element arrays, by pairwise
+    reduction in log2(n) levels."""
     while alpha.size > 1:
         k = alpha.size // 2
         a, b = _compose(alpha[1 : 2 * k : 2], beta[1 : 2 * k : 2], alpha[0 : 2 * k : 2], beta[0 : 2 * k : 2])
         if alpha.size % 2:  # the last step has no partner: fold it into the last pair
-            a[-1], b[-1] = _compose(alpha[-1], beta[-1], a[-1], b[-1])
+            a[-1:], b[-1:] = _compose(alpha[-1:], beta[-1:], a[-1:], b[-1:])
         alpha, beta = a, b
-    return alpha[0], beta[0]
+    return alpha, beta
 
 
 def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> QubitState:
@@ -215,11 +253,15 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     The waveform must be sampled at half the integrator step, the grid
     :func:`synth_gate_pulse` and both distortion methods produce: each step
     reads its start, midpoint and end samples. The equation is linear, so
-    each RK4 step is a fixed 2x2 matrix of those three samples. All step
-    matrices of a chunk of 2**14 steps are built at once and multiplied
-    pairwise (later @ earlier) down to one matrix; the chunk products are
-    folded in time order and applied to the input state once. Steps that
-    start after the last nonzero sample see no drive and are exact
+    each RK4 step is a fixed 2x2 matrix of those samples and of the carrier
+    at its midpoint (:func:`_rk4_step_matrices`). All step matrices of a
+    chunk of 2**14 steps are built at once from the real samples and the
+    cached carrier table, which starts at phase 0, and multiplied pairwise
+    (later @ earlier) down to one matrix. The chunk's true carrier starts at
+    P = exp(i w t0); with D = diag(1, P) each true step matrix is D M D^-1,
+    so only the chunk product's beta is multiplied by P. The chunk products
+    are folded in time order and applied to the input state once. Steps
+    that start after the last nonzero sample see no drive and are exact
     identities, so they are skipped. Raises if the norm drifts by more than 1e-6.
     """
     if abs(params.dt_s / waveform.dt_s - 2.0) > 1e-9:
@@ -233,20 +275,20 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     w = params.omega_q
     h = params.dt_s
 
-    # drive in the interaction picture: u_j = x_j * exp(i w t_j); the carrier
-    # over one chunk is shared by all chunks, each rotated by its start phase
     ds = waveform.dt_s
     carrier = _carrier_table(w, ds)
-    alpha, beta = 1.0 + 0.0j, 0.0j
+    e1 = carrier[1].conjugate()
+    alpha, beta = np.ones(1, complex), np.zeros(1, complex)
     for s0 in range(0, n_driven, _CHUNK):
         j0, j1 = 2 * s0, 2 * min(s0 + _CHUNK, n_driven)
-        u = x[j0 : j1 + 1] * (cmath.exp(1j * w * (ds * j0)) * carrier[: j1 - j0 + 1])
-        chunk = _ordered_product(*_rk4_step_matrices(u[:-1:2], u[1::2], u[2::2], h))
-        alpha, beta = _compose(*chunk, alpha, beta)
+        x0, xm, x1 = x[j0 : j1 - 1 : 2], x[j0 + 1 : j1 : 2], x[j0 + 2 : j1 + 1 : 2]
+        a, b = _ordered_product(*_rk4_step_matrices(x0, xm, x1, h, carrier[1 : j1 - j0 : 2], e1))
+        b *= cmath.exp(1j * w * (ds * j0))  # the chunk's start phase P
+        alpha, beta = _compose(a, b, alpha, beta)
 
     g0, e0 = state.amplitudes
-    g = complex(alpha * g0 - np.conj(beta) * e0)
-    e = complex(beta * g0 + np.conj(alpha) * e0)
+    g = complex(alpha[0] * g0 - np.conj(beta[0]) * e0)
+    e = complex(beta[0] * g0 + np.conj(alpha[0]) * e0)
     norm = math.sqrt(abs(g) ** 2 + abs(e) ** 2)
     if not abs(norm - 1.0) <= 1e-6:  # false for NaN
         raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
@@ -277,7 +319,9 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     target = math.sin(theta / 2.0) ** 2
 
     def residual(a):
-        g, e = evolve(GROUND, replace(unit, samples=a * unit.samples), params).amplitudes
+        probe = a * unit.samples
+        probe.setflags(write=False)  # built only for the probe waveform, which adopts it
+        g, e = evolve(GROUND, replace(unit, samples=probe), params).amplitudes
         return g if is_pi else abs(e) ** 2 - target
 
     lo, hi = (0.5 * est, 1.5 * est) if is_pi else (0.2 * est, 1.6 * est)
@@ -382,7 +426,9 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
                 del wf  # with its analytic signal, before the padded copy below
             # evolve over a common horizon so lab-frame phases cancel in the overlap; the distorted
             # lane reaches past the direct tap (to the last tap or the window), so it is never shorter
-            ref_wf = replace(dist_wf, samples=np.pad(ref, (0, dist_wf.samples.size - ref.size)))
+            padded = np.pad(ref, (0, dist_wf.samples.size - ref.size))
+            padded.setflags(write=False)  # built only for the reference waveform, which adopts it
+            ref_wf = replace(dist_wf, samples=padded)
             f = fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params))
             out[i, j] = max(0.0, 1.0 - f)
     return out

@@ -20,7 +20,14 @@ class GridError(ValueError):
 
 
 def _freeze(a, dtype=None) -> np.ndarray:
-    out = np.array(a, dtype=dtype)  # a copy: the caller's array stays writeable
+    """A read-only array of ``a``'s values. An ndarray that owns its data, is
+    already read-only and has the requested dtype is returned as it is: only
+    a producer that builds an array for one frozen result marks it so. Any
+    other input, a writeable array or any view among them, is copied, so the
+    caller's array stays writeable and later writes to it cannot reach the result."""
+    if type(a) is np.ndarray and a.flags.owndata and not a.flags.writeable and (dtype is None or a.dtype == dtype):
+        return a
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 

@@ -591,6 +591,19 @@ def test_oversized_sample_count_is_an_error_naming_it(valid, tmp_path, name, cha
     assert got == code and "samples, more than numpy can allocate" in err and "Traceback" not in err, err
 
 
+def test_out_of_memory_is_a_numeric_failure_not_a_traceback(valid, tmp_path, monkeypatch):
+    # a size numpy accepts but the host cannot hold; the allocator's refusal is
+    # raised by a stand-in, so the test allocates nothing
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 4.22 TiB for an array with shape (580000000001,) and data type float64")
+
+    monkeypatch.setattr(cryocal.cli, "synth_gate_pulse", refuse)
+    argv, cfg = valid[1]["pulse"]
+    got, err = run_config(argv, cfg, tmp_path)
+    assert got == 4 and "Traceback" not in err, err
+    assert err.startswith("cryocal: out of memory: the run needs more memory than this host has: Unable to allocate 4.22 TiB")
+
+
 @pytest.mark.parametrize("name", ["cal", "gate", "extract-loss", "uncertainty-rows", "uncertainty-trace", "fidelity", "pulse"])
 def test_small_configs_are_valid(valid, name, tmp_path):
     argv, cfg = valid[1][name]

@@ -19,6 +19,7 @@ from cryocal import (
 from cryocal import qubitsim
 from cryocal.distortion import _hilbert_transform
 from cryocal.timegate import TimeTrace
+from cryocal.traces import _freeze
 
 C = 299792458.0
 
@@ -192,6 +193,33 @@ def test_distort_with_response_matches_direct_convolution(n_pulse, n_response):
     x, r = rng.standard_normal(n_pulse), rng.standard_normal(n_response)
     got = distort_with_response(PulseWaveform(1e-12, x, 0.0), TimeTrace(1e-12, r)).samples
     np.testing.assert_allclose(got, np.convolve(x, r), rtol=0, atol=1e-12)
+
+
+def test_waveform_copies_a_writeable_array():
+    x = np.arange(11.0)
+    wf = PulseWaveform(1e-12, x, 0.0)
+    assert wf.samples is not x and x.flags.writeable and not wf.samples.flags.writeable
+    x[3] = 7.0
+    assert wf.samples[3] == 3.0
+
+
+def test_waveform_copies_a_read_only_view():
+    # the view's base stays writeable, so adopting the view would let later writes reach the waveform
+    base = np.arange(11.0)
+    view = base[:]
+    view.setflags(write=False)
+    wf = PulseWaveform(1e-12, view, 0.0)
+    assert wf.samples is not view and not np.shares_memory(wf.samples, base)
+    base[3] = 7.0
+    assert wf.samples[3] == 3.0
+
+
+def test_waveform_adopts_a_read_only_array_that_owns_its_data():
+    x = np.arange(11.0)
+    x.setflags(write=False)
+    assert PulseWaveform(1e-12, x, 0.0).samples is x
+    # another dtype is a new array, as for any other frozen container
+    assert _freeze(x, complex) is not x and _freeze(x, float) is x
 
 
 def test_waveform_carrier_resolution_guard():

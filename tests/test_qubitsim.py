@@ -27,7 +27,7 @@ from cryocal import (
     synth_gate_pulse,
 )
 from cryocal import distortion, qubitsim
-from cryocal.distortion import distort, impulse_response_taps
+from cryocal.distortion import distort, distort_with_response, impulse_response_fourier, impulse_response_taps
 from cryocal.qubitsim import GROUND
 
 PARAMS = QubitParams()
@@ -83,6 +83,15 @@ def _rk4_oracle(state, waveform, params):
         raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
     e_lab = e * cmath.exp(-1j * w * n_steps * h)
     return QubitState(np.array([g, e_lab]) / norm) if abs(norm - 1.0) > 1e-12 else QubitState(np.array([g, e_lab]))
+
+
+def _rk4_step_matrices_complex(u0, um, u1, h):
+    """(alpha, beta) of each RK4 step from the complex interaction-picture drive
+    u = x exp(i w t): the closed form that the real-sample build must reproduce."""
+    d = -(um.real**2 + um.imag**2)
+    alpha = 1.0 + (h * h / 6.0) * (d - np.conj(um) * u0 - np.conj(u1) * um - (0.25 * h * h) * d * np.conj(u1) * u0)
+    beta = (-1j * h / 6.0) * ((1.0 + 0.5 * h * h * d) * (u0 + u1) + 4.0 * um)
+    return alpha, beta
 
 
 # ------------------------------------------------------------ gates, states
@@ -177,6 +186,14 @@ def _xy_60ns_through_taps():
     return distort(wf, impulse_response_taps(MismatchModel(15.0, 15.0, 0.276)))
 
 
+def _xy_60ns_through_fourier():
+    gates = [GateOp("X"), GateOp("Y")]
+    wf = qubitsim._sequence_samples(gates, 60e-9, {"X": 1e8, "Y": 1e8}, PARAMS)
+    m = MismatchModel(15.0, 15.0, 0.276)
+    window = m.transit_s + (m.max_reflections + 3) * m.spacing_s  # the window run_allxy uses
+    return distort_with_response(wf, impulse_response_fourier(m, 1.0 / PARAMS.dt_s, window))
+
+
 @pytest.fixture(scope="module")
 def x_pulse():
     return synth_gate_pulse(GateOp("X"), 5e-9, PARAMS)
@@ -198,6 +215,10 @@ def test_evolve_matches_rk4_oracle_free_evolution():
 
 def test_evolve_matches_rk4_oracle_xy_60ns_through_taps():
     assert_matches_oracle(GROUND, _xy_60ns_through_taps())
+
+
+def test_evolve_matches_rk4_oracle_xy_60ns_through_fourier():
+    assert_matches_oracle(GROUND, _xy_60ns_through_fourier())
 
 
 @pytest.mark.parametrize(
@@ -227,6 +248,41 @@ def test_evolve_skips_the_zero_tail_exactly(last, n_steps):
     wf = _drive_ending_at(last, n_steps)
     assert last < 0 or wf.samples[last] != 0.0
     assert_matches_oracle(QubitState(np.array([1.0, 1.0j]) / math.sqrt(2)), wf)
+
+
+def _drive_window(kind, n_steps):
+    """2 n + 1 real drive samples and the sample index j0 they start at: a seeded
+    random drive, or the part of a 60 ns X pulse that starts at its second chunk."""
+    if kind == "random":
+        j0 = 2 * qubitsim._CHUNK * 3
+        return 1e9 * np.random.default_rng(n_steps).standard_normal(2 * n_steps + 1), j0
+    x = qubitsim._sequence_samples([GateOp("X")], 60e-9, {"X": 3e8}, PARAMS).samples
+    j0 = 2 * qubitsim._CHUNK
+    return x[j0 : j0 + 2 * n_steps + 1], j0
+
+
+@pytest.mark.parametrize("kind", ["random", "sequence"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, qubitsim._CHUNK - 1, qubitsim._CHUNK])
+def test_step_matrices_from_real_samples_match_the_complex_closed_form(kind, n_steps):
+    x, j0 = _drive_window(kind, n_steps)
+    h, w, ds = PARAMS.dt_s, PARAMS.omega_q, PARAMS.dt_s / 2
+    table = qubitsim._carrier_table(w, ds)
+    phase = cmath.exp(1j * w * (ds * j0))
+    u = x * (phase * table[: x.size])  # the complex drive, one table entry per sample
+    want_a, want_b = _rk4_step_matrices_complex(u[:-1:2], u[1::2], u[2::2], h)
+    got_a, got_b = qubitsim._rk4_step_matrices(x[:-1:2], x[1::2], x[2::2], h, phase * table[1 : x.size : 2], table[1].conjugate())
+    # Each table entry carries the rounding of its argument w ds j, up to half
+    # a spacing at the largest (514 rad at a full chunk, about 6e-14), and each
+    # product of two drive samples differs in phase by at most twice that, plus
+    # a few roundings of the arithmetic. The bound scales the largest term.
+    eps = np.finfo(float).eps
+    delta = np.spacing(w * ds * (x.size - 1)) / 2
+    tol = 4.0 * (2.0 * delta + 4.0 * eps)
+    a0, am, a1 = np.abs(x[:-1:2]), np.abs(x[1::2]), np.abs(x[2::2])
+    alpha_terms = h * h / 6.0 * np.max(am * (am + a0 + a1) + 0.25 * h * h * am * am * a0 * a1)
+    beta_terms = h / 6.0 * np.max(a0 + 4.0 * am + a1)
+    assert np.max(np.abs(got_a - want_a)) <= tol * alpha_terms + 2.0 * eps
+    assert np.max(np.abs(got_b - want_b)) <= tol * beta_terms
 
 
 @pytest.mark.parametrize("m", [1, 3, 4, 5])
@@ -272,6 +328,24 @@ def test_sequence_samples_match_the_direct_carrier_over_many_table_blocks():
     table = qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2)
     assert 120_001 > 3 * table.size
     assert_matches_direct_sequence([GateOp("X"), GateOp("Y")], 60e-9, {"X": 3e8, "Y": 2e8})
+
+
+def _envelope_formula(t, duration):
+    """The truncated Gaussian as one expression, a new array per operation:
+    the reference that the in-place build must equal bit for bit."""
+    sigma = duration / 4.0
+    g = np.exp(-((t - duration / 2.0) ** 2) / (2.0 * sigma**2))
+    g0 = math.exp(-((duration / 2.0) ** 2) / (2.0 * sigma**2))
+    return np.clip((g - g0) / (1.0 - g0), 0.0, None)
+
+
+@pytest.mark.parametrize("ds", [0.5e-12, 0.25e-12])
+@pytest.mark.parametrize("duration_s", [5e-9, 7.3e-9, 60e-9])
+def test_envelope_built_in_place_equals_the_formula_bit_for_bit(duration_s, ds):
+    t = ds * np.arange(int(round(duration_s / ds)) + 1)
+    times = t.copy()
+    got = qubitsim._truncated_gaussian_envelope(t, duration_s)
+    assert np.array_equal(got, _envelope_formula(t, duration_s)) and np.array_equal(t, times)
 
 
 # ------------------------------------------------------------- calibration
@@ -410,6 +484,25 @@ def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+def test_run_allxy_waveforms_adopt_the_arrays_built_for_them(method, monkeypatch):
+    # gate synthesis, calibration probes, distort and the padded reference
+    # build each array only for its waveform; only the Fourier convolution
+    # hands over a view of its FFT buffer, which must be copied
+    adopted = []
+    freeze = distortion._freeze
+
+    def spy(a, dtype=None):
+        out = freeze(a, dtype)
+        adopted.append(out is a)
+        return out
+
+    monkeypatch.setattr(distortion, "_freeze", spy)
+    pairs = (("X", "Y"), ("Y90", "X"))
+    run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, method=method)
+    assert adopted.count(False) == (len(pairs) if method == "fourier" else 0) and adopted.count(True) > 10
 
 
 def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
