@@ -285,11 +285,16 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
         raise ConfigError("frequencies_ghz must be a non-empty list")
     rows = _get(cfg, "rows", [dict], None)
 
-    rows_out = []
+    rows_out = []  # (freq_ghz, ReturnLossResult)
     if rows is not None:
         # Direct (s11, sigma) rows, bypassing trace + table lookup.
         for i, row in enumerate(rows):
-            rows_out.append(tuple(_get(row, k, float, where=f"rows[{i}]") for k in ("freq_ghz", "s11", "sigma")))
+            f_ghz, s11, sigma = (_get(row, k, float, where=f"rows[{i}]") for k in ("freq_ghz", "s11", "sigma"))
+            try:
+                rows_out.append((f_ghz, to_return_loss(s11, sigma)))
+            except UncertaintyError as exc:  # a row value is config: name its key, not the library's argument
+                key = "s11" if str(exc).startswith("s11_linear") else "sigma"
+                raise ConfigError(f"rows[{i}].{key}: {exc}") from exc
     else:
         in_path = inputs["input"] = _get(cfg, "input", Path)
         table_path = inputs["ecal_table"] = _get(cfg, "ecal_table", Path)
@@ -309,14 +314,14 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
                 raise UncertaintyError(f"|S11| is 0 at {f_ghz} GHz in {in_path}: no return-loss level to look up")
             level_db = -20.0 * math.log10(s11)
             budget = _build("config", ErrorBudget, interp_ecal_sigma(table, level_db), sigma_var, sigma_rep)
-            rows_out.append((f_ghz, s11, combine_rss(budget, include_rep=include_rep)))
+            rows_out.append((f_ghz, to_return_loss(s11, combine_rss(budget, include_rep=include_rep))))
 
-    results = [to_return_loss(s11, sigma) for _, s11, sigma in rows_out]
+    results = [r for _, r in rows_out]
     table_csv = out / "return_loss_table.csv"
     _write_csv(
         table_csv,
         ["freq_ghz", "s11_linear", "sigma_rss", "rl_db", "upper_db", "lower_db", "display"],
-        [f_ghz for f_ghz, _, _ in rows_out],
+        [f_ghz for f_ghz, _ in rows_out],
         *([getattr(r, k) for r in results] for k in ("s11_linear", "sigma_rss", "rl_db", "upper_db", "lower_db")),
         [format_return_loss(r) for r in results],
     )

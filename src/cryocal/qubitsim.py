@@ -247,22 +247,22 @@ def _ordered_product(alpha, beta):
     return alpha, beta
 
 
-def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> QubitState:
-    """Fixed-step RK4 propagation of the Schrodinger equation.
+def _propagator(waveform: PulseWaveform, params: QubitParams) -> tuple[complex, complex]:
+    """(alpha, beta) of the interaction-picture propagator of the whole waveform,
+    in the form of :func:`_compose`, before any renormalization.
 
-    The waveform must be sampled at half the integrator step, the grid
-    :func:`synth_gate_pulse` and both distortion methods produce: each step
-    reads its start, midpoint and end samples. The equation is linear, so
-    each RK4 step is a fixed 2x2 matrix of those samples and of the carrier
-    at its midpoint (:func:`_rk4_step_matrices`). All step matrices of a
-    chunk of 2**14 steps are built at once from the real samples and the
-    cached carrier table, which starts at phase 0, and multiplied pairwise
-    (later @ earlier) down to one matrix. The chunk's true carrier starts at
+    The equation is linear, so each RK4 step is a fixed 2x2 matrix of its
+    start, midpoint and end samples and of the carrier at its midpoint
+    (:func:`_rk4_step_matrices`). All step matrices of a chunk of 2**14
+    steps are built at once from the real samples and the cached carrier
+    table, which starts at phase 0, and multiplied pairwise (later @
+    earlier) down to one matrix. The chunk's true carrier starts at
     P = exp(i w t0); with D = diag(1, P) each true step matrix is D M D^-1,
     so only the chunk product's beta is multiplied by P. The chunk products
-    are folded in time order and applied to the input state once. Steps
-    that start after the last nonzero sample see no drive and are exact
-    identities, so they are skipped. Raises if the norm drifts by more than 1e-6.
+    are folded in time order. Steps that start after the last nonzero
+    sample see no drive and are exact identities, so they are skipped.
+    The matrix scales every state's norm by sqrt(|alpha|^2 + |beta|^2), so
+    that minus 1 is the raw RK4 norm drift.
     """
     if abs(params.dt_s / waveform.dt_s - 2.0) > 1e-9:
         raise SimulationError(
@@ -285,16 +285,28 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
         a, b = _ordered_product(*_rk4_step_matrices(x0, xm, x1, h, carrier[1 : j1 - j0 : 2], e1))
         b *= cmath.exp(1j * w * (ds * j0))  # the chunk's start phase P
         alpha, beta = _compose(a, b, alpha, beta)
+    return alpha[0], beta[0]
 
+
+def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> QubitState:
+    """Fixed-step RK4 propagation of the Schrodinger equation.
+
+    The waveform must be sampled at half the integrator step, the grid
+    :func:`synth_gate_pulse` and both distortion methods produce: each step
+    reads its start, midpoint and end samples. The propagator of all steps
+    (:func:`_propagator`) is applied to the input state once. Raises if the
+    norm drifts by more than 1e-6 and renormalizes a drift above 1e-12.
+    """
+    alpha, beta = _propagator(waveform, params)
     g0, e0 = state.amplitudes
-    g = complex(alpha[0] * g0 - np.conj(beta[0]) * e0)
-    e = complex(beta[0] * g0 + np.conj(alpha[0]) * e0)
+    g = complex(alpha * g0 - np.conj(beta) * e0)
+    e = complex(beta * g0 + np.conj(alpha) * e0)
     norm = math.sqrt(abs(g) ** 2 + abs(e) ** 2)
     if not abs(norm - 1.0) <= 1e-6:  # false for NaN
         raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
     # back to the lab frame at the final time
-    t_end = n_steps * h
-    e_lab = e * cmath.exp(-1j * w * t_end)
+    t_end = (waveform.samples.size - 1) // 2 * params.dt_s
+    e_lab = e * cmath.exp(-1j * params.omega_q * t_end)
     return QubitState(np.array([g, e_lab]) / norm) if abs(norm - 1.0) > 1e-12 else QubitState(np.array([g, e_lab]))
 
 
@@ -420,8 +432,10 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     for j, gates in enumerate(sequences):
         wf = _sequence_samples(gates, duration_s, amplitudes, params)
         for i, taps in enumerate(ladders):
-            dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
+            # the reference lane first: its distort runs the pair's one Hilbert transform, whose
+            # spectrum and FFT scratch then overlap no distorted lane
             ref = distort(wf, ImpulseResponse(taps=taps.taps[:1])).samples
+            dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
             if i == len(ladders) - 1:
                 del wf  # with its analytic signal, before the padded copy below
             # evolve over a common horizon so lab-frame phases cancel in the overlap; the distorted

@@ -641,6 +641,9 @@ BAD_VALUES = [
     ("gate", ("gate", "kaiser_beta"), 1000, "gate.kaiser_beta"),
     ("uncertainty-rows", ("rows",), [1], "rows[0]"),
     ("uncertainty-rows", ("rows", 0, "s11"), "x", "rows[0].s11"),
+    ("uncertainty-rows", ("rows", 0, "s11"), -0.1, "rows[0].s11"),
+    ("uncertainty-rows", ("rows", 0, "s11"), 0, "rows[0].s11"),
+    ("uncertainty-rows", ("rows", 0, "sigma"), -0.006, "rows[0].sigma"),
     ("uncertainty-trace", ("include_rep",), 1, "include_rep"),
     ("uncertainty-trace", ("sigma_switch_var",), True, "sigma_switch_var"),
     ("cal", ("standards",), 5, "standards"),
