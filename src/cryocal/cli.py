@@ -216,20 +216,23 @@ def cmd_cal(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     return inputs, outputs
 
 
-def _gate_from_config(cfg: dict, preset_flag: str | None) -> GateSpec:
+def _gate_from_config(cfg: dict, preset_flag: str | None, fallback: str | None = None) -> GateSpec:
+    """``--preset``, else the config's ``preset``, else its ``gate`` block (required without a ``fallback`` preset)."""
     name = preset_flag or _get(cfg, "preset", str, None)
-    if name is not None:
-        if name not in GATE_PRESETS:
-            raise ConfigError(f"unknown gate preset {name!r}; choose from {sorted(GATE_PRESETS)}")
-        return GATE_PRESETS[name]
-    block = _get(cfg, "gate", dict)
-    return _build(
-        "gate", GateSpec,
-        center_s=_get(block, "center_ns", float, where="gate") * 1e-9,
-        span_s=_get(block, "span_ns", float, where="gate") * 1e-9,
-        kaiser_beta=_get(block, "kaiser_beta", float, GateSpec.kaiser_beta, "gate"),
-        splice_below_cutoff=_get(block, "splice", bool, GateSpec.splice_below_cutoff, "gate"),
-    )
+    if name is None:
+        block = _get(cfg, "gate", dict, _REQUIRED if fallback is None else None)
+        if block is not None:
+            return _build(
+                "gate", GateSpec,
+                center_s=_get(block, "center_ns", float, where="gate") * 1e-9,
+                span_s=_get(block, "span_ns", float, where="gate") * 1e-9,
+                kaiser_beta=_get(block, "kaiser_beta", float, GateSpec.kaiser_beta, "gate"),
+                splice_below_cutoff=_get(block, "splice", bool, GateSpec.splice_below_cutoff, "gate"),
+            )
+        name = fallback
+    if name not in GATE_PRESETS:
+        raise ConfigError(f"unknown gate preset {name!r}; choose from {sorted(GATE_PRESETS)}")
+    return GATE_PRESETS[name]
 
 
 def cmd_gate(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
@@ -249,10 +252,7 @@ def cmd_gate(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
 
 def cmd_extract_loss(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     in_path = _get(cfg, "input", Path)
-    preset = args.preset or _get(cfg, "preset", str, None)
-    if preset is None and _get(cfg, "gate", dict, None) is None:
-        preset = "through-short"
-    gate = _gate_from_config(cfg, preset)
+    gate = _gate_from_config(cfg, args.preset, "through-short")
     gated = apply_gate(read_touchstone_file(in_path), gate)
     s21 = extract_insertion_loss(gated)
     loss_csv = out / "insertion_loss.csv"

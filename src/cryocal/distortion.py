@@ -44,6 +44,9 @@ class MismatchModel:
             raise DistortionError("v_p must be in (0, c]")
         if not self.max_reflections >= 0:
             raise DistortionError("max_reflections must be >= 0")
+        for name, magnitude in (("rl1_db", self.alpha), ("rl2_db", self.beta)):
+            if magnitude == 1.0:  # a return loss below about 1e-16 dB: total reflection, no pulse passes
+                raise DistortionError(f"{name} = {getattr(self, name)} dB rounds the reflection magnitude to 1.0")
 
     @property
     def alpha(self) -> float:
@@ -81,20 +84,15 @@ class ImpulseResponse:
 
 
 def impulse_response_taps(model: MismatchModel) -> ImpulseResponse:
-    """Tap ladder: delays L(2k+1)/v_p, amplitudes a^k (1-a)(b^k - b^(k+1))
-    scaled so the direct tap is 1, which reduces the ratios to (a*b)^k.
+    """Tap ladder: delays L(2k+1)/v_p, amplitudes (alpha*beta)^k, the series in
+    r^2 = alpha*beta of :func:`impulse_response_fourier`'s S21.
 
-    The static through-attenuation is absorbed into experimental amplitude
-    calibration, so only the ghost-induced ripple remains.
+    The direct tap is 1, not the through-attenuation (1-alpha)(1-beta): that is
+    absorbed into experimental amplitude calibration, so only the
+    ghost-induced ripple remains.
     """
-    a, b = model.alpha, model.beta
-    tau0, spacing = model.transit_s, model.spacing_s
-    amps = [(a**k) * (1.0 - a) * (b**k - b ** (k + 1)) for k in range(model.max_reflections + 1)]
-    a0 = amps[0]
-    if a0 == 0.0:  # a rounds to 1.0 at a return loss below about 1e-16 dB
-        raise DistortionError("direct tap vanishes; cannot normalize")
-    taps = tuple((tau0 + k * spacing, amps[k] / a0) for k in range(len(amps)))
-    return ImpulseResponse(taps=taps)
+    r2 = model.alpha * model.beta
+    return ImpulseResponse(tuple((model.transit_s + k * model.spacing_s, r2**k) for k in range(model.max_reflections + 1)))
 
 
 def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: float) -> TimeTrace:

@@ -41,10 +41,10 @@ class QubitParams:
     dt_s: float = 1e-12
 
     def __post_init__(self):
-        if not self.omega_q > 0:
-            raise SimulationError(f"omega_q must be > 0, got {self.omega_q}")
-        if not self.dt_s > 0:
-            raise SimulationError("dt_s must be > 0")
+        if not 0 < self.omega_q < math.inf:  # false for NaN
+            raise SimulationError(f"omega_q must be > 0 and finite, got {self.omega_q}")
+        if not 0 < self.dt_s < math.inf:
+            raise SimulationError(f"dt_s must be > 0 and finite, got {self.dt_s}")
         if self.dt_s * self.omega_q / (2.0 * math.pi) > 1.0 / 20.0:
             raise SimulationError("dt_s too coarse: need >= 20 steps per carrier period")
 

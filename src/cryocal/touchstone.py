@@ -90,20 +90,17 @@ def _parses(records: list[str], cols: int = _N_COLS) -> bool:
         return False
 
 
-def _raise_at_fault(lines: list[str], first: int, k: int | None = None, message: str = "") -> None:
+def _raise_at_fault(lines: list[str], first: int) -> None:
     """Find the record of ``lines[first:]`` at fault and raise its error.
 
     Only the error path runs this; a valid file is converted by one array
-    call. A second option line is reported wherever it is. Then, with ``k``
-    given, record ``k`` is reported with ``message``; else the first record
-    with the wrong column count or a non-numeric token, found by bisection.
+    call. A second option line is reported wherever it is; else the first
+    record with the wrong column count or a non-numeric token, found by bisection.
     """
     records = list(_content(lines, first))
     dup = next((line_no for line_no, line in records if line.startswith("#")), None)
     if dup is not None:
         raise TouchstoneParseError(dup, "duplicate option line")
-    if k is not None:
-        raise TouchstoneParseError(records[k][0], message)
     lo, hi = 0, len(records)  # records[:lo] all parse; records[lo:hi] do not all parse
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -153,8 +150,9 @@ def parse_touchstone(text: str | bytes, expected_ports: int) -> ComplexTrace:
     # f[k+1] <= f[k] rather than np.diff(f) <= 0, which misses [inf, inf]
     bad = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if bad.size:
-        k = bad[0] + 1
-        _raise_at_fault(lines, first, k, f"non-increasing frequency {float(freqs[k])} Hz after {float(freqs[k - 1])} Hz")
+        k = bad[0] + 1  # np.loadtxt took every record, so none is a second option line
+        line_no = list(_content(lines, first))[k][0]
+        raise TouchstoneParseError(line_no, f"non-increasing frequency {float(freqs[k])} Hz after {float(freqs[k - 1])} Hz")
     if fmt == "RI":  # reinterpret each (re, im) pair: exact, -0.0 included, unlike a + 1j * b
         values = np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
     else:

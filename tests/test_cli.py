@@ -563,12 +563,23 @@ def run_config(argv, cfg, work):
     return code, err.getvalue()
 
 
-def test_pulse_model_with_a_vanishing_direct_tap_is_data_error(valid, tmp_path):
-    # rl_db = 1e-17 rounds the reflection magnitude to 1.0, so the direct
-    # tap (1 - a)(1 - b) is 0 and the ladder cannot be normalized by it
+def test_pulse_model_with_a_vanishing_direct_tap_is_config_error(valid, tmp_path):
+    # rl_db = 1e-17 rounds the reflection magnitude to 1.0: the element reflects
+    # totally, its through-attenuation (1 - a)(1 - b) is 0, and MismatchModel rejects it
     argv, cfg = valid[1]["pulse"]
     code, err = run_config(argv, dict(cfg, model=dict(cfg["model"], rl_db=1e-17)), tmp_path)
-    assert code == 3 and "direct tap vanishes" in err and "Traceback" not in err, err
+    assert code == 2 and "model.rl1_db = 1e-17 dB rounds the reflection magnitude to 1.0" in err, err
+    assert "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+def test_fidelity_model_that_reflects_totally_is_config_error(valid, tmp_path, method):
+    # rejected where the model is built, before either method builds its response
+    _, cfg = valid[1]["fidelity"]
+    cfg = dict(cfg, method=method, model=dict(cfg["model"], rl2_db=1e-17), axis={"start": 0.27, "stop": 0.28, "count": 2})
+    code, err = run_config(["fidelity", "sweep-length"], cfg, tmp_path)
+    assert code == 2 and "model.rl2_db = 1e-17 dB rounds the reflection magnitude to 1.0" in err, err
+    assert "Traceback" not in err, err
 
 
 # (subcommand, changed keys, exit code): each run asks for more samples than numpy

@@ -108,13 +108,13 @@ def test_gate_table():
         qubitsim.calibrated_amplitudes(["Z"], 5e-9, PARAMS)
 
 
-@pytest.mark.parametrize("dt_s", [0.0, -1e-12, math.nan])
+@pytest.mark.parametrize("dt_s", [0.0, -1e-12, math.nan, math.inf])
 def test_nonpositive_step_rejected(dt_s):
     with pytest.raises(SimulationError, match="dt_s must be > 0"):
         QubitParams(dt_s=dt_s)
 
 
-@pytest.mark.parametrize("omega_q", [0.0, math.nan])
+@pytest.mark.parametrize("omega_q", [0.0, math.nan, math.inf])
 def test_nonpositive_qubit_frequency_rejected(omega_q):
     with pytest.raises(SimulationError, match="omega_q must be > 0"):
         QubitParams(omega_q=omega_q)
