@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,14 +139,19 @@ def _check(value, kind, name: str):
     return float(value) if kind is float else Path(value) if kind is Path else value
 
 
-def _build(where: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``, reporting a domain type's rejection as a ConfigError;
-    a message that starts with a keyword argument's name is given its dotted key."""
+# A domain field -> the config key that sets it, where the two differ in name (and often in unit).
+_CONFIG_KEYS = {"omega_q": "f_q_ghz", "dt_s": "dt_ps", "v_p": "v_p_over_c", "span_s": "span_ns",
+                "s11_linear": "s11", "sigma_rss": "sigma"}
+
+
+def _build(prefix: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a domain type's rejection is a ConfigError after ``prefix``, a block's path
+    (``"model."``) or a value's key (``"axis.start: "``), with the key first if the config renames the field."""
     try:
         return cls(*args, **kwargs)
     except (DistortionError, GateError, SimulationError, UncertaintyError) as exc:
-        sep = "." if str(exc).split(" ", 1)[0] in kwargs else ": "
-        raise ConfigError(f"{where}{sep}{exc}") from exc
+        key = _CONFIG_KEYS.get(str(exc).split(" ", 1)[0])  # every rejection starts with its field
+        raise ConfigError(f"{prefix}{key}: {exc}" if key else f"{prefix}{exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict[str, Path], outputs: list[Path]):
@@ -223,7 +229,7 @@ def _gate_from_config(cfg: dict, preset_flag: str | None, fallback: str | None =
         block = _get(cfg, "gate", dict, _REQUIRED if fallback is None else None)
         if block is not None:
             return _build(
-                "gate", GateSpec,
+                "gate.", GateSpec,
                 center_s=_get(block, "center_ns", float, where="gate") * 1e-9,
                 span_s=_get(block, "span_ns", float, where="gate") * 1e-9,
                 kaiser_beta=_get(block, "kaiser_beta", float, GateSpec.kaiser_beta, "gate"),
@@ -274,7 +280,7 @@ def _read_ecal_table(path: Path) -> UncertaintyTable:
         if len(row) != 2:
             raise ConfigError(f"{path}, line {lineno}: expected two columns (s11_db,sigma_linear), got {ln!r}")
         rows.append(row)
-    return _build(str(path), UncertaintyTable, *np.array(rows).reshape(-1, 2).T)
+    return _build(f"{path}: ", UncertaintyTable, *np.array(rows).reshape(-1, 2).T)
 
 
 def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
@@ -290,11 +296,7 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
         # Direct (s11, sigma) rows, bypassing trace + table lookup.
         for i, row in enumerate(rows):
             f_ghz, s11, sigma = (_get(row, k, float, where=f"rows[{i}]") for k in ("freq_ghz", "s11", "sigma"))
-            try:
-                rows_out.append((f_ghz, to_return_loss(s11, sigma)))
-            except UncertaintyError as exc:  # a row value is config: name its key, not the library's argument
-                key = "s11" if str(exc).startswith("s11_linear") else "sigma"
-                raise ConfigError(f"rows[{i}].{key}: {exc}") from exc
+            rows_out.append((f_ghz, _build(f"rows[{i}].", to_return_loss, s11_linear=s11, sigma_rss=sigma)))
     else:
         in_path = inputs["input"] = _get(cfg, "input", Path)
         table_path = inputs["ecal_table"] = _get(cfg, "ecal_table", Path)
@@ -313,7 +315,7 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
             if s11 == 0.0:
                 raise UncertaintyError(f"|S11| is 0 at {f_ghz} GHz in {in_path}: no return-loss level to look up")
             level_db = -20.0 * math.log10(s11)
-            budget = _build("config", ErrorBudget, interp_ecal_sigma(table, level_db), sigma_var, sigma_rep)
+            budget = _build("", ErrorBudget, interp_ecal_sigma(table, level_db), sigma_var, sigma_rep)
             rows_out.append((f_ghz, to_return_loss(s11, combine_rss(budget, include_rep=include_rep))))
 
     results = [r for _, r in rows_out]
@@ -331,8 +333,9 @@ def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
 def _qubit_params(cfg: dict) -> QubitParams:
     block = _get(cfg, "qubit", dict, {})
     default = QubitParams()
-    omega_q = 2.0 * math.pi * _get(block, "f_q_ghz", float, default.f_q / 1e9, "qubit") * 1e9
-    return _build("qubit", QubitParams, omega_q, _get(block, "dt_ps", float, default.dt_s / 1e-12, "qubit") * 1e-12)
+    f_q_ghz = _get(block, "f_q_ghz", float, default.f_q / 1e9, "qubit")
+    dt_ps = _get(block, "dt_ps", float, default.dt_s / 1e-12, "qubit")
+    return _build("qubit.", QubitParams, omega_q=2.0 * math.pi * f_q_ghz * 1e9, dt_s=dt_ps * 1e-12)
 
 
 def _duration_s(cfg: dict, params: QubitParams) -> float:
@@ -345,7 +348,7 @@ def _duration_s(cfg: dict, params: QubitParams) -> float:
 def _mismatch_model(block: dict) -> MismatchModel:
     rl = _get(block, "rl_db", float, 15.0, "model")
     return _build(
-        "model", MismatchModel,
+        "model.", MismatchModel,
         rl1_db=_get(block, "rl1_db", float, rl, "model"),
         rl2_db=_get(block, "rl2_db", float, rl, "model"),
         length_m=_get(block, "length_m", float, where="model"),
@@ -354,16 +357,16 @@ def _mismatch_model(block: dict) -> MismatchModel:
     )
 
 
-def _axis(cfg: dict) -> np.ndarray:
+def _axis(cfg: dict, model: MismatchModel, fields: tuple[str, ...]) -> np.ndarray:
+    """``axis.count`` points from start to stop; the model's rules are thresholds, so judging the ends judges all."""
     block = _get(cfg, "axis", dict)
     count = _get(block, "count", int, where="axis")
-    start = _get(block, "start", float, where="axis")
-    stop = _get(block, "stop", float, where="axis")
+    ends = {end: _get(block, end, float, where="axis") for end in ("start", "stop")}
     if count < 1:
         raise ConfigError(f"axis.count must be an integer >= 1, got {count!r}")
-    if not (start > 0 and stop > 0):
-        raise ConfigError(f"axis.start and axis.stop must be > 0, got {start} and {stop}")
-    return np.linspace(start, stop, count)
+    for end, value in ends.items():
+        _build(f"axis.{end}: ", replace, model, **dict.fromkeys(fields, value))
+    return np.linspace(ends["start"], ends["stop"], count)
 
 
 def _pairs(cfg: dict) -> tuple[tuple[str, ...], ...]:
@@ -391,17 +394,16 @@ def _crossing(axis: np.ndarray, dev: np.ndarray, threshold: float) -> float | No
 def cmd_fidelity(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     params = _qubit_params(cfg)
     model = _mismatch_model(_get(cfg, "model", dict))
-    axis = _axis(cfg)
+    sweep, fields = ((sweep_length, ("length_m",)) if args.mode == "sweep-length"
+                     else (sweep_return_loss, ("rl1_db", "rl2_db")))
+    axis = _axis(cfg, model, fields)
     duration_s = _duration_s(cfg, params)
     pairs = _pairs(cfg)
     method = _get(cfg, "method", str, "taps")
     if method not in ("taps", "fourier"):
         raise ConfigError(f"method must be 'taps' or 'fourier', got {method!r}")
 
-    if args.mode == "sweep-length":
-        result = sweep_length(model, axis, duration_s, params, pairs, method, args.threads)
-    else:
-        result = sweep_return_loss(model, axis, duration_s, params, pairs, method, args.threads)
+    result = sweep(model, axis, duration_s, params, pairs, method, args.threads)
 
     names = ["".join(pair) for pair in result.pairs]
     sweep_csv = out / f"{args.mode}.csv"
@@ -428,7 +430,7 @@ def cmd_fidelity(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path
 
 def cmd_pulse_synth(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     params = _qubit_params(cfg)
-    gate = _build("gate", GateOp, _get(cfg, "gate", str, "X"))
+    gate = _build("gate: ", GateOp, _get(cfg, "gate", str, "X"))
     duration_s = _duration_s(cfg, params)
     amplitude = _get(cfg, "amplitude", float, None)
     model_block = _get(cfg, "model", dict, None)

@@ -36,17 +36,17 @@ class MismatchModel:
     max_reflections: int = 5
 
     def __post_init__(self):
-        if not (self.rl1_db > 0 and self.rl2_db > 0):
-            raise DistortionError(f"return losses must be > 0 dB, got {self.rl1_db} and {self.rl2_db}")
+        for name, magnitude in (("rl1_db", "alpha"), ("rl2_db", "beta")):
+            if not getattr(self, name) > 0:  # false for NaN; first, as 10^(-rl/20) overflows far below 0
+                raise DistortionError(f"{name} must be > 0 dB, got {getattr(self, name)}")
+            if getattr(self, magnitude) == 1.0:  # a return loss below about 1e-16 dB: total reflection, no pulse passes
+                raise DistortionError(f"{name} = {getattr(self, name)} dB rounds the reflection magnitude to 1.0")
         if not 0 < self.length_m < math.inf:
             raise DistortionError(f"length_m must be finite and > 0, got {self.length_m}")
         if not (0 < self.v_p <= C_VACUUM):
-            raise DistortionError("v_p must be in (0, c]")
+            raise DistortionError(f"v_p must be in (0, c], got {self.v_p}")
         if not self.max_reflections >= 0:
             raise DistortionError("max_reflections must be >= 0")
-        for name, magnitude in (("rl1_db", self.alpha), ("rl2_db", self.beta)):
-            if magnitude == 1.0:  # a return loss below about 1e-16 dB: total reflection, no pulse passes
-                raise DistortionError(f"{name} = {getattr(self, name)} dB rounds the reflection magnitude to 1.0")
 
     @property
     def alpha(self) -> float:
@@ -191,8 +191,8 @@ class PulseWaveform:
     carrier_hz: float
 
     def __post_init__(self):
-        if not self.dt_s > 0:
-            raise DistortionError(f"dt_s must be > 0, got {self.dt_s}")
+        if not 0 < self.dt_s < math.inf:  # false for NaN
+            raise DistortionError(f"dt_s must be finite and > 0, got {self.dt_s}")
         if not self.carrier_hz >= 0:
             raise DistortionError(f"carrier_hz must be >= 0, got {self.carrier_hz}")
         if self.carrier_hz > 0 and self.dt_s > 1.0 / (20.0 * self.carrier_hz):

@@ -448,11 +448,9 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     return out
 
 
-def _run_sweep(template, values, fields, what, duration_s, params, pairs, method) -> FidelitySweepResult:
-    """1-F per pair with every one of the template's ``fields`` set to each positive axis value in turn."""
+def _run_sweep(template, values, fields, duration_s, params, pairs, method) -> FidelitySweepResult:
+    """1-F per pair with every one of the template's ``fields`` set to each axis value in turn."""
     axis = np.asarray(values, dtype=float)
-    if not np.all(axis > 0):  # false for NaN
-        raise SimulationError(f"{what} must be positive")
     if not axis.size:
         raise SimulationError("sweep axis is empty")
     models = [replace(template, **dict.fromkeys(fields, float(v))) for v in axis]
@@ -474,7 +472,7 @@ def sweep_length(
     ``workers`` is accepted for compatibility and changes nothing: every
     sweep point runs in this process.
     """
-    return _run_sweep(model_template, lengths_m, ("length_m",), "lengths", duration_s, params, pairs, method)
+    return _run_sweep(model_template, lengths_m, ("length_m",), duration_s, params, pairs, method)
 
 
 def sweep_return_loss(
@@ -491,6 +489,5 @@ def sweep_return_loss(
     ``workers`` is accepted for compatibility and changes nothing: every
     sweep point runs in this process.
     """
-    fields = ("rl1_db", "rl2_db")
-    return _run_sweep(model_template, rls_db, fields, "return losses", duration_s, params, pairs, method)
+    return _run_sweep(model_template, rls_db, ("rl1_db", "rl2_db"), duration_s, params, pairs, method)
 

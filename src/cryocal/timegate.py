@@ -36,7 +36,7 @@ class GateSpec:
         if not abs(self.center_s) < np.inf:  # false for NaN
             raise GateError(f"center_s must be finite, got {self.center_s}")
         if not 0 < self.span_s < np.inf:  # false for NaN
-            raise GateError(f"gate span must be finite and > 0, got {self.span_s}")
+            raise GateError(f"span_s must be finite and > 0, got {self.span_s}")
         with np.errstate(over="ignore", invalid="ignore"):  # I0 overflows from beta ~ 713 on
             if not (self.kaiser_beta >= 0 and np.i0(self.kaiser_beta) < np.inf):  # false for NaN
                 raise GateError(f"kaiser_beta must be >= 0 with a finite I0(kaiser_beta), got {self.kaiser_beta}")

@@ -637,17 +637,20 @@ BAD_VALUES = [
     ("fidelity", ("model", "length_m"), math.inf, "model.length_m"),
     ("fidelity", ("model", "length_m"), True, "model.length_m"),
     ("fidelity", ("model", "length_m"), "0.276", "model.length_m"),
-    ("fidelity", ("model", "v_p_over_c"), 2, "model"),
+    ("fidelity", ("model", "v_p_over_c"), 2, "model.v_p_over_c"),
     ("fidelity", ("model", "max_reflections"), "x", "model.max_reflections"),
     ("fidelity", ("model", "max_reflections"), 2.7, "model.max_reflections"),
-    ("fidelity", ("qubit", "dt_ps"), 100, "qubit"),
-    ("fidelity", ("qubit", "dt_ps"), 0, "qubit"),
+    ("fidelity", ("qubit", "dt_ps"), 100, "qubit.dt_ps"),
+    ("fidelity", ("qubit", "dt_ps"), 0, "qubit.dt_ps"),
+    ("fidelity", ("qubit", "f_q_ghz"), 1e300, "qubit.f_q_ghz"),
     ("fidelity", ("axis", "start"), "a", "axis.start"),
     ("fidelity", ("axis", "start"), -5, "axis.start"),
+    ("fidelity", ("axis", "start"), 1e-17, "axis.start"),
     ("pulse", ("gate",), "Z", "gate"),
     ("pulse", ("amplitude",), "x", "amplitude"),
     ("gate", ("input",), 5, "input"),
     ("gate", ("gate", "span_ns"), "x", "gate.span_ns"),
+    ("gate", ("gate", "span_ns"), 0, "gate.span_ns"),
     ("gate", ("gate", "splice"), "false", "gate.splice"),
     ("gate", ("gate", "kaiser_beta"), 1000, "gate.kaiser_beta"),
     ("uncertainty-rows", ("rows",), [1], "rows[0]"),
@@ -669,6 +672,47 @@ def test_bad_config_value_is_config_error(valid, tmp_path, name, path, value, te
     code, err = run_config(argv, mutated(cfg, path, value), tmp_path)
     assert code == 2 and "Traceback" not in err
     assert "config error" in err and text in err
+
+
+@pytest.mark.parametrize(
+    "mode,end,value,message",
+    [
+        ("sweep-rl", "start", 1e-17, "axis.start: rl1_db = 1e-17 dB rounds the reflection magnitude to 1.0"),
+        ("sweep-length", "stop", -1, "axis.stop: length_m must be finite and > 0, got -1.0"),
+    ],
+    ids=["rl-start-total-reflection", "length-stop-negative"],
+)
+def test_swept_axis_end_is_judged_by_the_model(valid, tmp_path, monkeypatch, mode, end, value, message):
+    # the template model judges both ends as the mode's swept fields, before any sweep runs
+    sweep = "sweep_length" if mode == "sweep-length" else "sweep_return_loss"
+    monkeypatch.setattr(cryocal.cli, sweep, lambda *a: pytest.fail("swept an axis the model rejects"))
+    _, cfg = valid[1]["fidelity"]
+    axis = {"start": 0.27, "stop": 0.28, "count": 2} if mode == "sweep-length" else cfg["axis"]
+    code, err = run_config(["fidelity", mode], dict(cfg, axis=dict(axis, **{end: value})), tmp_path)
+    assert code == 2 and f"config error: {message}" in err and "Traceback" not in err, err
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    assert run(["gate", "--config", tmp_path / "absent.json", "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert f"config file not found: {tmp_path / 'absent.json'}" in err and "Traceback" not in err, err
+
+
+def test_top_level_json_array_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text('[{"input": "x.s1p"}]\n')
+    assert run(["gate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: top-level JSON value must be an object" in err and "Traceback" not in err, err
+
+
+def test_ecal_row_with_three_cells_is_config_error(valid, tmp_path):
+    argv, cfg = valid[1]["uncertainty-trace"]
+    table = tmp_path / "ecal.csv"
+    table.write_text("s11_db,sigma_linear\n0,0.002\n50,0.002,7\n")
+    code, err = run_config(argv, dict(cfg, ecal_table=str(table)), tmp_path)
+    assert code == 2 and "Traceback" not in err, err
+    assert f"{table}, line 3: expected two columns (s11_db,sigma_linear), got '50,0.002,7'" in err, err
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

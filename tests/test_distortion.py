@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,36 @@ def test_model_validation():
             MismatchModel(rl1, rl2, 0.276)
     # an infinite return loss is a matched element: no ghost, a unit direct tap
     assert impulse_response_taps(MismatchModel(math.inf, math.inf, 0.276)).taps[1][1] == 0.0
+
+
+def test_model_rejection_starts_with_its_field():
+    # each return loss is judged alone, and before 10^(-rl/20) could overflow
+    for args, message in [
+        ((15.0, 0.0, 0.3), "rl2_db must be > 0 dB, got 0.0"),
+        ((-1e5, 15.0, 0.3), "rl1_db must be > 0 dB, got -100000.0"),
+        ((15.0, 15.0, 0.3, 1.5 * C), f"v_p must be in (0, c], got {1.5 * C}"),
+    ]:
+        with pytest.raises(DistortionError, match=f"^{re.escape(message)}$"):
+            MismatchModel(*args)
+
+
+@pytest.mark.parametrize(
+    "dt_s,samples,message",
+    [
+        (math.inf, [0.0, 1.0, 0.0], "dt_s must be finite and > 0, got inf"),
+        (1e-12, [0.5], "waveform needs at least two samples"),
+        (1e-12, [0.0, math.nan, 0.0], "waveform contains non-finite samples"),
+    ],
+)
+def test_waveform_rejection_names_its_fault(dt_s, samples, message):
+    with pytest.raises(DistortionError, match=f"^{re.escape(message)}$"):
+        PulseWaveform(dt_s, np.array(samples), 0.0)
+
+
+def test_fourier_window_shorter_than_two_ghosts_rejected():
+    m = MismatchModel(15.0, 15.0, 0.276)
+    with pytest.raises(DistortionError, match="^window too short to localize the tap ladder$"):
+        impulse_response_fourier(m, 1e12, m.transit_s + 1.9 * m.spacing_s)
 
 
 def carrier_pulse(f_c=5e9, dt=1e-12, n=4001):

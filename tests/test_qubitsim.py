@@ -12,6 +12,8 @@ from dataclasses import replace
 from cryocal import (
     DEFAULT_PAIRS,
     XY_PAIR,
+    DistortionError,
+    FidelitySweepResult,
     GateOp,
     MismatchModel,
     PulseWaveform,
@@ -625,16 +627,36 @@ def test_sweep_workers_deterministic():
     np.testing.assert_array_equal(serial.deviation, parallel.deviation)
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
+    # MismatchModel alone judges a swept value, naming its field, before anything is calibrated
+    monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated a sweep with a bad value"))
     m = MismatchModel(15.0, 15.0, 0.276)
-    with pytest.raises(SimulationError):
-        sweep_length(m, np.array([-0.1, 0.2]), 5e-9, PARAMS)
-    with pytest.raises(SimulationError):
-        sweep_return_loss(m, np.array([0.0, 10.0]), 5e-9, PARAMS)
-    with pytest.raises(SimulationError, match="lengths must be positive"):
-        sweep_length(m, np.array([0.2, math.nan]), 5e-9, PARAMS)
-    with pytest.raises(SimulationError, match="return losses must be positive"):
-        sweep_return_loss(m, np.array([math.nan, 10.0]), 5e-9, PARAMS)
+    for lengths in ([-0.1, 0.2], [0.2, math.nan], [0.0]):
+        with pytest.raises(DistortionError, match="^length_m must be finite and > 0"):
+            sweep_length(m, np.array(lengths), 5e-9, PARAMS)
+    for rls in ([0.0, 10.0], [math.nan, 10.0]):
+        with pytest.raises(DistortionError, match="^rl1_db must be > 0 dB"):
+            sweep_return_loss(m, np.array(rls), 5e-9, PARAMS)
+    with pytest.raises(DistortionError, match="^rl1_db = 1e-17 dB rounds the reflection magnitude to 1.0"):
+        sweep_return_loss(m, np.array([10.0, 1e-17]), 5e-9, PARAMS)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=()), "pairs must be non-empty"),
+        (lambda: calibrate_amplitude(GateOp("I"), 5e-9, PARAMS), "identity gate needs no amplitude calibration"),
+        (lambda: QubitState(np.array([1.0, 0.0, 0.0])), "state must be a complex 2-vector"),
+        (
+            lambda: FidelitySweepResult(np.array([12.0, 15.0]), XY_PAIR, np.zeros((1, 1))),
+            "deviation shape does not match axis/pairs",
+        ),
+    ],
+    ids=["allxy-no-pairs", "calibrate-identity", "three-amplitude-state", "sweep-result-shape"],
+)
+def test_fidelity_rejection_names_its_fault(call, message):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("sweep", [sweep_length, sweep_return_loss])

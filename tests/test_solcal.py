@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,30 @@ def test_sol_round_trip_property(e00, e11, e01e10, gammas, dut):
     truth = ComplexTrace(grid, np.full(2, dut))
     corrected = apply_correction(solved, forward_model(model, truth))
     assert np.max(np.abs(corrected.values - truth.values)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        ({"e00": np.full(3, 0.1)}, "e00 length != grid count"),
+        ({"e11": np.array([0.5, math.nan, 0.5, 0.5])}, "e11 contains non-finite values"),
+        ({"e00": np.full(4, 0.5), "delta_e": np.full(4, 0.25)}, "reflection tracking term e01e10 vanishes"),
+    ],
+    ids=["wrong-length", "non-finite", "zero-tracking"],
+)
+def test_error_model_rejection_names_its_fault(terms, message):
+    grid = aligned_grid(count=4)
+    base = {"e00": np.full(4, 0.1), "e11": np.full(4, 0.5), "delta_e": np.zeros(4)}
+    with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+        ErrorModelOnePort(grid, **{**base, **terms})
+
+
+def test_singular_forward_model_and_correction_name_the_frequency():
+    grid = aligned_grid(count=4)  # 10, 20, 30, 40 MHz
+    model = constant_error_model(grid, 0.1, 0.5, 0.25)
+    # 1 - e11*G = 0 at G = 2, the third point
+    with pytest.raises(CalibrationError, match=re.escape("forward model singular (1 - e11*G ~ 0) at 3e+07 Hz")):
+        forward_model(model, ComplexTrace(grid, np.array([0.0, 0.0, 2.0, 0.0])))
+    # m*e11 - delta_e = 0 at m = 0.5, the second point
+    with pytest.raises(CalibrationError, match="^correction singular at 2e[+]07 Hz$"):
+        apply_correction(model, ComplexTrace(grid, np.array([0.0, 0.5, 0.0, 0.0])))

@@ -147,6 +147,7 @@ def test_presets_match_documented_parameters():
         (lambda: GateSpec(math.nan, 1e-9), GateError, "center_s"),
         (lambda: GateSpec(-math.inf, 1e-9), GateError, "center_s"),
         (lambda: GateSpec(0.0, math.inf), GateError, "span"),
+        (lambda: GateSpec(0.0, 0.0), GateError, "^span_s must be finite and > 0"),
         (lambda: GateSpec(0.0, 1e-9, 720.0), GateError, "kaiser_beta"),
         (lambda: GateSpec(0.0, 1e-9, math.inf), GateError, "kaiser_beta"),
         (lambda: GateSpec(0.0, 1e-9, math.nan), GateError, "kaiser_beta"),
@@ -158,9 +159,10 @@ def test_presets_match_documented_parameters():
         (lambda: FrequencyGrid(1e6, 1e6, 1), GridError, "count"),
         (lambda: TimeTrace(math.inf, np.zeros(3)), GateError, "dt_s"),
         (lambda: TimeTrace(math.nan, np.zeros(3)), GateError, "dt_s"),
+        (lambda: TimeTrace(1e-12, np.zeros(1)), GateError, "^time trace needs at least two samples$"),
     ],
-    ids=["center-nan", "center-inf", "span-inf", "beta-i0-overflow", "beta-inf", "beta-nan", "start-inf",
-         "start-nan", "step-inf", "step-nan", "count-fraction", "count-one", "dt-inf", "dt-nan"],
+    ids=["center-nan", "center-inf", "span-inf", "span-zero", "beta-i0-overflow", "beta-inf", "beta-nan", "start-inf",
+         "start-nan", "step-inf", "step-nan", "count-fraction", "count-one", "dt-inf", "dt-nan", "samples-one"],
 )
 def test_non_finite_or_fractional_geometry_is_rejected(build, error, field):
     # NaN and inf fail every check, and the message names the field

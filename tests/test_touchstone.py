@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cryocal import (
     ComplexTrace,
     FrequencyGrid,
+    GridError,
     TouchstoneParseError,
     parse_touchstone,
     read_touchstone_file,
@@ -77,6 +78,8 @@ def test_parse_two_port_rejected():
         ("# Hz S RI R inf\n1e9 0 0\n2e9 0 0\n", 1, "finite positive resistance, got 'inf'"),
         ("! z0\n# Hz S RI R 0\n1e9 0 0\n2e9 0 0\n", 2, "finite positive resistance, got '0'"),
         ("# Hz S RI R -50\n1e9 0 0\n2e9 0 0\n", 1, "finite positive resistance, got '-50'"),
+        ("# Hz S RI R\n1e9 0 0\n2e9 0 0\n", 1, "R given without an impedance value"),
+        ("# Hz S RI R fifty\n1e9 0 0\n2e9 0 0\n", 1, "invalid reference impedance 'fifty'"),
         # \x0c and \r\n end lines as in str.splitlines
         ("# Hz S RI R 50\x0c1e9 0 0\r\n\r\n1e9 0 0\n", 4, "non-increasing"),
     ],
@@ -86,6 +89,19 @@ def test_parse_errors_carry_line_numbers(text, line_no, fragment):
         parse_touchstone(text, expected_ports=1)
     assert err.value.line_no == line_no
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "freqs,message", [([1e9], "need at least two frequency points"), ([1e9, 1e9], "frequencies must be strictly increasing")]
+)
+def test_grid_fit_rejects_too_few_or_repeated_points(freqs, message):
+    with pytest.raises(GridError, match=f"^{message}$"):
+        FrequencyGrid.from_frequencies(freqs)
+
+
+def test_trace_values_must_match_the_grid_count():
+    with pytest.raises(GridError, match="^values length 3 does not match grid count 4$"):
+        ComplexTrace(grid=FrequencyGrid(1e9, 1e9, 4), values=np.zeros(3))
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c"], ids=["lf", "crlf", "cr", "vt", "ff", "fs"])

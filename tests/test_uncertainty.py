@@ -101,3 +101,8 @@ def test_table_validation():
         UncertaintyTable(np.array([1.0, 1.0, 2.0]), np.array([1e-3, 1e-3, 1e-3]))
     with pytest.raises(UncertaintyError):
         UncertaintyTable(np.array([1.0, 2.0]), np.array([1e-3, 0.0]))
+
+
+def test_table_of_one_row_is_rejected():
+    with pytest.raises(UncertaintyError, match="^table needs matching 1-d columns with >= 2 rows$"):
+        UncertaintyTable(np.array([10.0]), np.array([1e-3]))
