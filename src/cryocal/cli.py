@@ -44,11 +44,11 @@ from .uncertainty import (
 )
 from .distortion import C_VACUUM, DistortionError, MismatchModel, impulse_response_taps, distort
 from .qubitsim import (
-    ALLXY_GATES,
     GateOp,
     QubitParams,
     SimulationError,
     XY_PAIR,
+    _fidelity_request,
     sweep_length,
     sweep_return_loss,
     synth_gate_pulse,
@@ -141,16 +141,17 @@ def _check(value, kind, name: str):
 
 # A domain field -> the config key that sets it, where the two differ in name (and often in unit).
 _CONFIG_KEYS = {"omega_q": "f_q_ghz", "dt_s": "dt_ps", "v_p": "v_p_over_c", "span_s": "span_ns",
-                "s11_linear": "s11", "sigma_rss": "sigma"}
+                "s11_linear": "s11", "sigma_rss": "sigma", "duration_s": "duration_ns"}
 
 
-def _build(prefix: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``; a domain type's rejection is a ConfigError after ``prefix``, a block's path
-    (``"model."``) or a value's key (``"axis.start: "``), with the key first if the config renames the field."""
+def _build(prefix: str, cls, *args, keys=_CONFIG_KEYS, **kwargs):
+    """``cls(*args, **kwargs)``; a domain type's or judge's rejection is a ConfigError after ``prefix``, a block's
+    path (``"model."``) or a value's key (``"axis.start: "``), with the key from ``keys`` first if the config
+    sets the field under another name."""
     try:
         return cls(*args, **kwargs)
     except (DistortionError, GateError, SimulationError, UncertaintyError) as exc:
-        key = _CONFIG_KEYS.get(str(exc).split(" ", 1)[0])  # every rejection starts with its field
+        key = keys.get(str(exc).split(" ", 1)[0])  # every rejection starts with its field
         raise ConfigError(f"{prefix}{key}: {exc}" if key else f"{prefix}{exc}") from exc
 
 
@@ -338,19 +339,14 @@ def _qubit_params(cfg: dict) -> QubitParams:
     return _build("qubit.", QubitParams, omega_q=2.0 * math.pi * f_q_ghz * 1e9, dt_s=dt_ps * 1e-12)
 
 
-def _duration_s(cfg: dict, params: QubitParams) -> float:
-    duration_s = _get(cfg, "duration_ns", float, 5.0) * 1e-9
-    if not duration_s > 10.0 * params.dt_s:
-        raise ConfigError(f"duration_ns must exceed 10 integrator steps (qubit.dt_ps), got {duration_s * 1e9}")
-    return duration_s
-
-
 def _mismatch_model(block: dict) -> MismatchModel:
     rl = _get(block, "rl_db", float, 15.0, "model")
+    rls = {field: _get(block, field, float, None, "model") for field in ("rl1_db", "rl2_db")}
+    # rl_db sets each element the block leaves out, so a rejection of that element names rl_db
+    keys = {**_CONFIG_KEYS, **{field: "rl_db" for field, value in rls.items() if value is None}}
     return _build(
-        "model.", MismatchModel,
-        rl1_db=_get(block, "rl1_db", float, rl, "model"),
-        rl2_db=_get(block, "rl2_db", float, rl, "model"),
+        "model.", MismatchModel, keys=keys,
+        **{field: rl if value is None else value for field, value in rls.items()},
         length_m=_get(block, "length_m", float, where="model"),
         v_p=_get(block, "v_p_over_c", float, MismatchModel.v_p / C_VACUUM, "model") * C_VACUUM,
         max_reflections=_get(block, "max_reflections", int, MismatchModel.max_reflections, "model"),
@@ -367,13 +363,6 @@ def _axis(cfg: dict, model: MismatchModel, fields: tuple[str, ...]) -> np.ndarra
     for end, value in ends.items():
         _build(f"axis.{end}: ", replace, model, **dict.fromkeys(fields, value))
     return np.linspace(ends["start"], ends["stop"], count)
-
-
-def _pairs(cfg: dict) -> tuple[tuple[str, ...], ...]:
-    pairs = _get(cfg, "pairs", [[str]], XY_PAIR)
-    if not pairs or not all(p and set(p) <= set(ALLXY_GATES) for p in pairs):
-        raise ConfigError(f"pairs must be a non-empty list of lists of gate names {list(ALLXY_GATES)}, got {pairs!r}")
-    return tuple(tuple(p) for p in pairs)
 
 
 def _crossing(axis: np.ndarray, dev: np.ndarray, threshold: float) -> float | None:
@@ -397,11 +386,10 @@ def cmd_fidelity(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path
     sweep, fields = ((sweep_length, ("length_m",)) if args.mode == "sweep-length"
                      else (sweep_return_loss, ("rl1_db", "rl2_db")))
     axis = _axis(cfg, model, fields)
-    duration_s = _duration_s(cfg, params)
-    pairs = _pairs(cfg)
+    duration_s = _get(cfg, "duration_ns", float, 5.0) * 1e-9
+    pairs = _get(cfg, "pairs", [[str]], XY_PAIR)
     method = _get(cfg, "method", str, "taps")
-    if method not in ("taps", "fourier"):
-        raise ConfigError(f"method must be 'taps' or 'fourier', got {method!r}")
+    _build("", _fidelity_request, duration_s, params, pairs, method)
 
     result = sweep(model, axis, duration_s, params, pairs, method, args.threads)
 
@@ -431,7 +419,8 @@ def cmd_fidelity(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path
 def cmd_pulse_synth(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
     params = _qubit_params(cfg)
     gate = _build("gate: ", GateOp, _get(cfg, "gate", str, "X"))
-    duration_s = _duration_s(cfg, params)
+    duration_s = _get(cfg, "duration_ns", float, 5.0) * 1e-9
+    _build("", _fidelity_request, duration_s, params)
     amplitude = _get(cfg, "amplitude", float, None)
     model_block = _get(cfg, "model", dict, None)
     model = None if model_block is None else _mismatch_model(model_block)

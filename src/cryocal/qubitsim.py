@@ -62,6 +62,8 @@ _GATE_TABLE = {
 }
 
 ALLXY_GATES = tuple(_GATE_TABLE)
+DEFAULT_PAIRS = tuple((a, b) for a in ALLXY_GATES for b in ALLXY_GATES)
+XY_PAIR = (("X", "Y"),)
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,23 @@ class QubitState:
 GROUND = QubitState(np.array([1.0 + 0.0j, 0.0j]))
 
 
+def _fidelity_request(duration_s: float, params: QubitParams, pairs=XY_PAIR, method: str = "taps") -> list[list[GateOp]]:
+    """The gate sequences of ``pairs``, each gate a ``duration_s`` pulse distorted by ``method``.
+
+    The one judge of a fidelity request, run before anything is calibrated;
+    each rejection starts with its field.
+    """
+    if not pairs or not all(pair and set(pair) <= _GATE_TABLE.keys() for pair in pairs):
+        raise SimulationError(
+            f"pairs must be non-empty, each a non-empty sequence of gate names {list(ALLXY_GATES)}, got {pairs!r}"
+        )
+    if method not in ("taps", "fourier"):
+        raise SimulationError(f"method must be 'taps' or 'fourier', got {method!r}")
+    if not duration_s > 10.0 * params.dt_s:  # false for NaN
+        raise SimulationError(f"duration_s must exceed 10 integrator steps of {params.dt_s:g} s, got {duration_s:g}")
+    return [[GateOp(k) for k in pair] for pair in pairs]
+
+
 def fidelity(a: QubitState, b: QubitState) -> float:
     """Squared overlap |<a|b>|^2; invariant under global phase."""
     ov = np.vdot(a.amplitudes, b.amplitudes)
@@ -135,8 +154,7 @@ def _sequence_samples(
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
     large argument.
     """
-    if duration_s <= 10.0 * params.dt_s:
-        raise SimulationError("duration must exceed 10 integrator steps")
+    _fidelity_request(duration_s, params)  # judges the duration
     ds = params.dt_s / 2.0
     steps = duration_s / params.dt_s  # per gate
     _check_sample_count(2.0 * steps * len(gates), SimulationError, "the drive")
@@ -385,10 +403,6 @@ class FidelitySweepResult:
         object.__setattr__(self, "deviation", d)
 
 
-DEFAULT_PAIRS = tuple((a, b) for a in ALLXY_GATES for b in ALLXY_GATES)
-XY_PAIR = (("X", "Y"),)
-
-
 def run_allxy(
     model: MismatchModel | None,
     duration_s: float,
@@ -412,14 +426,7 @@ def run_allxy(
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
     drive is synthesized once, so every model shares its analytic signal."""
-    if not pairs:
-        raise SimulationError("pairs must be non-empty")
-    if method not in ("taps", "fourier"):
-        raise SimulationError(f"unknown distortion method {method!r}")
-    for pair in pairs:
-        if not pair:
-            raise SimulationError(f"gate pair {pair!r} has no gate")
-    sequences = [[GateOp(k) for k in pair] for pair in pairs]
+    sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:
         return out

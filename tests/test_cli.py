@@ -25,7 +25,7 @@ from cryocal import (
     sweep_return_loss,
     write_touchstone,
 )
-from cryocal.cli import CROSSING_THRESHOLDS, _gate_from_config, _mismatch_model, _pairs, _read_ecal_table, main
+from cryocal.cli import CROSSING_THRESHOLDS, _gate_from_config, _mismatch_model, _read_ecal_table, main
 from cryocal.distortion import C_VACUUM
 
 from conftest import (
@@ -304,6 +304,7 @@ def test_fidelity_sweep_rl_outputs(tmp_path):
     lines = (out / "sweep-rl.csv").read_text().splitlines()
     assert lines[0] == "axis_value,pair,one_minus_f"
     assert len(lines) == 4
+    assert {l.split(",")[1] for l in lines[1:]} == {"".join(pair) for pair in XY_PAIR}  # the library's default
     devs = [float(l.split(",")[2]) for l in lines[1:]]
     assert devs[0] > devs[-1]
     cross = (out / "crossings.csv").read_text().splitlines()
@@ -420,7 +421,6 @@ def test_cli_defaults_are_the_library_types_own():
     assert _mismatch_model({"length_m": 0.276}) == MismatchModel(15.0, 15.0, 0.276)
     # 3 * 1e-9 is the CLI's ns -> s conversion; it is one ulp above the literal 3e-9
     assert _gate_from_config({"gate": {"center_ns": 0, "span_ns": 3}}, None) == GateSpec(0.0, 3 * 1e-9)
-    assert _pairs({}) == XY_PAIR
 
 
 def test_fidelity_unknown_gate_name_is_config_error(tmp_path, capsys):
@@ -568,7 +568,7 @@ def test_pulse_model_with_a_vanishing_direct_tap_is_config_error(valid, tmp_path
     # totally, its through-attenuation (1 - a)(1 - b) is 0, and MismatchModel rejects it
     argv, cfg = valid[1]["pulse"]
     code, err = run_config(argv, dict(cfg, model=dict(cfg["model"], rl_db=1e-17)), tmp_path)
-    assert code == 2 and "model.rl1_db = 1e-17 dB rounds the reflection magnitude to 1.0" in err, err
+    assert code == 2 and "model.rl_db: rl1_db = 1e-17 dB rounds the reflection magnitude to 1.0" in err, err
     assert "Traceback" not in err, err
 
 
@@ -632,6 +632,9 @@ BAD_VALUES = [
     ("fidelity", ("duration_ns",), math.nan, "duration_ns"),
     ("fidelity", ("duration_ns",), 10**400, "duration_ns"),
     ("fidelity", ("method",), "foo", "method"),
+    ("fidelity", ("pairs",), [], "pairs"),
+    ("fidelity", ("pairs",), [[]], "pairs"),
+    ("fidelity", ("model", "rl_db"), -1, "model.rl_db"),
     ("fidelity", ("model",), [1], "model"),
     ("fidelity", ("model", "length_m"), -1, "length_m"),
     ("fidelity", ("model", "length_m"), math.inf, "model.length_m"),
@@ -648,6 +651,7 @@ BAD_VALUES = [
     ("fidelity", ("axis", "start"), 1e-17, "axis.start"),
     ("pulse", ("gate",), "Z", "gate"),
     ("pulse", ("amplitude",), "x", "amplitude"),
+    ("pulse", ("duration_ns",), 0.001, "duration_ns"),
     ("gate", ("input",), 5, "input"),
     ("gate", ("gate", "span_ns"), "x", "gate.span_ns"),
     ("gate", ("gate", "span_ns"), 0, "gate.span_ns"),
@@ -672,6 +676,32 @@ def test_bad_config_value_is_config_error(valid, tmp_path, name, path, value, te
     code, err = run_config(argv, mutated(cfg, path, value), tmp_path)
     assert code == 2 and "Traceback" not in err
     assert "config error" in err and text in err
+
+
+# (subcommand, key path, bad value, message after "config error: "): qubitsim's request judge and
+# MismatchModel reject each value, and the CLI names its key before anything is calibrated
+BAD_REQUESTS = [
+    ("fidelity", ("pairs",), [], "pairs must be non-empty"),
+    ("fidelity", ("pairs",), [[]], "pairs must be non-empty"),
+    ("fidelity", ("pairs",), [["X", "Z"]], "pairs must be non-empty"),
+    ("fidelity", ("method",), "foo", "method must be 'taps' or 'fourier', got 'foo'"),
+    ("fidelity", ("duration_ns",), 0, "duration_ns: duration_s must exceed 10 integrator steps"),
+    ("pulse", ("duration_ns",), 0.001, "duration_ns: duration_s must exceed 10 integrator steps"),
+    ("fidelity", ("model", "rl_db"), -1, "model.rl_db: rl1_db must be > 0 dB, got -1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,message", BAD_REQUESTS, ids=[f"{n}:{'.'.join(map(str, p))}={v!r:.12}" for n, p, v, _ in BAD_REQUESTS]
+)
+def test_bad_request_value_is_named_before_calibrating(valid, tmp_path, monkeypatch, name, path, value, message):
+    monkeypatch.setattr(cryocal.qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated a rejected request"))
+    argv, cfg = valid[1][name]
+    cfg = {key: v for key, v in cfg.items() if key != "amplitude"}  # so the pulse is calibrated too
+    with pytest.raises(pytest.fail.Exception, match="calibrated a rejected request"):
+        run_config(argv, cfg, tmp_path)  # the unchanged config reaches calibration
+    code, err = run_config(argv, mutated(cfg, path, value), tmp_path)
+    assert code == 2 and f"cryocal: config error: {message}" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -644,15 +644,24 @@ def test_sweep_validation(monkeypatch):
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=()), "pairs must be non-empty"),
+        (
+            lambda: run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=()),
+            "pairs must be non-empty, each a non-empty sequence of gate names ['I', 'X', 'Y', 'X90', 'Y90'], got ()",
+        ),
         (lambda: calibrate_amplitude(GateOp("I"), 5e-9, PARAMS), "identity gate needs no amplitude calibration"),
+        (lambda: run_allxy(None, 5e-12, PARAMS), "duration_s must exceed 10 integrator steps of 1e-12 s, got 5e-12"),
+        (
+            lambda: synth_gate_pulse(GateOp("X"), 5e-12, PARAMS),
+            "duration_s must exceed 10 integrator steps of 1e-12 s, got 5e-12",
+        ),
         (lambda: QubitState(np.array([1.0, 0.0, 0.0])), "state must be a complex 2-vector"),
         (
             lambda: FidelitySweepResult(np.array([12.0, 15.0]), XY_PAIR, np.zeros((1, 1))),
             "deviation shape does not match axis/pairs",
         ),
     ],
-    ids=["allxy-no-pairs", "calibrate-identity", "three-amplitude-state", "sweep-result-shape"],
+    ids=["allxy-no-pairs", "calibrate-identity", "allxy-no-model-short-pulse", "synth-short-pulse",
+         "three-amplitude-state", "sweep-result-shape"],
 )
 def test_fidelity_rejection_names_its_fault(call, message):
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
@@ -669,7 +678,7 @@ def test_sweep_rejects_an_empty_axis_before_calibrating(sweep, monkeypatch):
 @pytest.mark.parametrize("sweep", [sweep_length, sweep_return_loss])
 def test_sweep_rejects_an_unknown_method_before_calibrating(sweep, monkeypatch):
     monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated before checking the method"))
-    with pytest.raises(SimulationError, match="unknown distortion method 'bogus'"):
+    with pytest.raises(SimulationError, match="^method must be 'taps' or 'fourier', got 'bogus'$"):
         sweep(MismatchModel(15.0, 15.0, 0.276), np.array([15.0]), 5e-9, PARAMS, method="bogus")
 
 
@@ -685,7 +694,7 @@ def test_sweep_rejects_an_unknown_method_before_calibrating(sweep, monkeypatch):
 )
 def test_empty_gate_pair_is_named_before_calibrating(run, monkeypatch):
     monkeypatch.setattr(qubitsim, "calibrated_amplitudes", lambda *a: pytest.fail("calibrated before checking the pairs"))
-    with pytest.raises(SimulationError, match=r"gate pair \(\) has no gate"):
+    with pytest.raises(SimulationError, match=r"^pairs must be non-empty, each a non-empty sequence .*, got \[\('X', 'Y'\), \(\)\]$"):
         run(MismatchModel(15.0, 15.0, 0.276), [("X", "Y"), ()])
 
 
