@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -134,8 +134,9 @@ def _hilbert_transform(x: np.ndarray) -> np.ndarray:
     (:func:`_hilbert_spectrum`), computed as one linear convolution with the
     centred kernel at a fast FFT length M >= 2n - 1 (Bluestein, IEEE Trans.
     Audio Electroacoust. 18, 451, 1970), so the transform is the length-n
-    one, not that of a padded signal. The kernel's spectrum depends on n
-    alone and is cached, so each signal costs two real FFTs.
+    one, not that of a padded signal. Each call builds the kernel's spectrum
+    and runs two more real FFTs; a fidelity run needs two calls per gate
+    shape, so nothing here is cached.
     """
     n = x.size
     size = _fast_len(2 * n - 1)
@@ -148,10 +149,9 @@ def _hilbert_transform(x: np.ndarray) -> np.ndarray:
     return hx[:n].copy()  # a copy, so the M-point buffer is freed
 
 
-@lru_cache(maxsize=2)
 def _hilbert_spectrum(n: int, size: int) -> np.ndarray:
     """Imaginary part of the length-``size`` real FFT of the centred Hilbert
-    kernel of length n, read-only; its real part vanishes because the kernel is odd.
+    kernel of length n; its real part vanishes because the kernel is odd.
 
     The circular kernel is h[d] = -tan(pi d/2n)/n (even d), cot(pi d/2n)/n
     (odd d) for odd n and 2 cot(pi d/n)/n (odd d), 0 (even d) for even n, with
@@ -171,9 +171,7 @@ def _hilbert_spectrum(n: int, size: int) -> np.ndarray:
     g[size - n + 1 :] = -g[n - 1 : 0 : -1]
     full = np.fft.rfft(g)
     del g  # at most two M-point buffers live at once
-    spectrum = full.imag.copy()
-    spectrum.setflags(write=False)
-    return spectrum
+    return full.imag.copy()
 
 
 def _fast_len(n: int) -> int:
@@ -214,8 +212,15 @@ class PulseWaveform:
     @cached_property
     def _quadrature(self) -> np.ndarray:
         """H[x] of the samples, built once per waveform and shared by every
-        :func:`distort` of it (a tap ladder and its direct tap)."""
-        hx = _hilbert_transform(self.samples)
+        :func:`distort` of it (a tap ladder and its direct tap).
+
+        A drive that qubitsim synthesized for a fidelity run carries a
+        ``_quadrature_source``, which sums H[x] from its gate shape's cached
+        basis without an FFT. It is not a field, so any other waveform, one
+        made by ``dataclasses.replace`` included, runs :func:`_hilbert_transform`.
+        """
+        source = vars(self).pop("_quadrature_source", None)
+        hx = _hilbert_transform(self.samples) if source is None else source()
         hx.setflags(write=False)
         return hx
 

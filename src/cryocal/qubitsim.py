@@ -20,11 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, distort
+from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, _hilbert_transform, distort
 from .distortion import distort_with_response, impulse_response_fourier, impulse_response_taps
 from .traces import _check_sample_count, _freeze
 
@@ -110,7 +110,7 @@ def _fidelity_request(duration_s: float, params: QubitParams, pairs=XY_PAIR, met
     The one judge of a fidelity request, run before anything is calibrated;
     each rejection starts with its field.
     """
-    if not pairs or not all(pair and set(pair) <= _GATE_TABLE.keys() for pair in pairs):
+    if not pairs or not all(pair and not isinstance(pair, str) and set(pair) <= _GATE_TABLE.keys() for pair in pairs):
         raise SimulationError(
             f"pairs must be non-empty, each a non-empty sequence of gate names {list(ALLXY_GATES)}, got {pairs!r}"
         )
@@ -146,19 +146,23 @@ def _sequence_samples(
     duration_s: float,
     amplitudes: dict[str, float],
     params: QubitParams,
+    quadrature: bool = False,
 ) -> PulseWaveform:
     """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier.
 
     Every gate shares one envelope. Its carrier cos(w_q t + phi) is built in
     blocks of the carrier table's length: from block start t_b on it is
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
-    large argument.
+    large argument. With ``quadrature`` the waveform's H[x] is summed from
+    the gate shape's cached basis (:func:`_quadrature_basis`), which is
+    built, if it must be, before the drive exists.
     """
     _fidelity_request(duration_s, params)  # judges the duration
     ds = params.dt_s / 2.0
     steps = duration_s / params.dt_s  # per gate
     _check_sample_count(2.0 * steps * len(gates), SimulationError, "the drive")
     n_gate = int(round(steps)) * 2  # samples per gate
+    basis = _quadrature_basis(len(gates), duration_s, params) if quadrature else None
     x = np.zeros(n_gate * len(gates) + 1)
     env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
     table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
@@ -172,7 +176,75 @@ def _sequence_samples(
             psi = params.omega_q * (ds * j0) + gate.phase_rad
             x[j0 : j0 + c.size] += (amp * env[b : b + c.size]) * (math.cos(psi) * c.real - math.sin(psi) * c.imag)
     x.setflags(write=False)  # built only for the waveform, which adopts it
-    return PulseWaveform(ds, x, params.f_q)
+    wf = PulseWaveform(ds, x, params.f_q)
+    if basis is not None:  # gate i is Re(a_i u) shifted by i n_gate, a_i = amp e^(i (w_q ds i n_gate + phi))
+        w = params.omega_q
+        shifted = [
+            (i * n_gate + n_gate // 2, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * (i * n_gate)) + g.phase_rad)))
+            for i, g in enumerate(gates)
+            if g.kind != "I"
+        ]
+        turn = cmath.exp(1j * w * (ds * n_gate))
+        object.__setattr__(wf, "_quadrature_source", partial(_basis_quadrature, basis, x.size, shifted, turn))
+    return wf
+
+
+@lru_cache(maxsize=2)
+def _quadrature_basis(n_gates: int, duration_s: float, params: QubitParams) -> np.ndarray:
+    """H[u] of the unit gate pulse u[b] = env[b] exp(i w_q ds b), b = 0 .. n_gate, in the
+    length-n frame of an ``n_gates``-gate sequence, read-only; element d is frame sample
+    c + d, c = n_gate/2 the pulse's midpoint.
+
+    Each gate is Re(a u) with a complex a, shifted by a multiple of n_gate, and the
+    circular H is real-linear and commutes with circular shifts, so a drive's H[x] is a
+    sum of shifted copies of Re(a H[u]) (:func:`_basis_quadrature`). Re u and Im u are the
+    frames of a unit X gate and a -1 scaled Y gate, each transformed once. A symmetric
+    envelope gives u(n_gate - b) = t conj(u(b)), t = exp(i w_q ds n_gate), and H is odd
+    under that reflection, so H[u](c - d) = -t conj(H[u](c + d)) and d = 0 .. (n-1)/2
+    suffice. An envelope asymmetric beyond rounding (a duration off the integrator
+    grid) keeps the whole frame.
+    """
+    rest = [GateOp("I")] * (n_gates - 1)
+    ds = params.dt_s / 2.0
+    n_gate = int(round(duration_s / params.dt_s)) * 2
+    n, c = n_gate * n_gates + 1, n_gate // 2
+    env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
+    keep = (n + 1) // 2 if np.max(np.abs(env - env[::-1])) <= 1e-14 else n
+    k = min(keep, n - c)
+    del env
+    parts = []
+    for gate, amp in (("X", 1.0), ("Y", -1.0)):  # cos(w t + pi/2) = -sin(w t)
+        frame = _sequence_samples([GateOp(gate), *rest], duration_s, {gate: amp}, params).samples
+        hu = _hilbert_transform(frame)
+        del frame
+        parts.append(np.concatenate((hu[c : c + k], hu[: keep - k])))  # frame samples c .. c + keep - 1, circularly
+        del hu
+    basis = np.empty(keep, complex)
+    basis.real, basis.imag = parts
+    basis.setflags(write=False)
+    return basis
+
+
+def _basis_quadrature(basis: np.ndarray, n: int, shifted, turn: complex) -> np.ndarray:
+    """H[x] of a drive x = sum of Re(a u) with u's midpoint at frame sample p, for each
+    (p, a) in ``shifted``, from :func:`_quadrature_basis`'s ``basis`` and ``turn`` = t."""
+    hx = np.zeros(n)
+    back = n - basis.size  # samples before each midpoint, read from the reflection
+    mirror = basis[back:0:-1]
+    for p, a in shifted:
+        _add_circular(hx, p, a.real * basis.real - a.imag * basis.imag)
+        if back:  # Re(a H[u](c - d)) = Re(-a t conj(H[u](c + d)))
+            r = -a * turn
+            _add_circular(hx, p - back, r.real * mirror.real + r.imag * mirror.imag)
+    return hx
+
+
+def _add_circular(out: np.ndarray, start: int, values: np.ndarray) -> None:
+    """out[(start + k) mod n] += values[k], for values no longer than out."""
+    start %= out.size
+    k = min(values.size, out.size - start)
+    out[start : start + k] += values[:k]
+    out[: values.size - k] += values[k:]
 
 
 def synth_gate_pulse(gate: GateOp, duration_s: float, params: QubitParams, amplitude: float | None = None) -> PulseWaveform:
@@ -389,7 +461,7 @@ class FidelitySweepResult:
     """Fidelity deviation per gate pair along a swept axis."""
 
     axis: np.ndarray
-    pairs: tuple[tuple[str, str], ...]
+    pairs: tuple[tuple[str, ...], ...]
     deviation: np.ndarray  # shape (len(axis), len(pairs))
 
     def __post_init__(self):
@@ -425,7 +497,8 @@ def run_allxy(
 
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
-    drive is synthesized once, so every model shares its analytic signal."""
+    drive is synthesized once, so every model shares its quadrature H[x], which is summed from
+    the gate shape's cached basis: a warm call runs no Hilbert transform."""
     sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:
@@ -437,14 +510,13 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
         windows = [m.transit_s + (m.max_reflections + 3) * m.spacing_s for m in models]
         responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w) for m, w in zip(models, windows)]
     for j, gates in enumerate(sequences):
-        wf = _sequence_samples(gates, duration_s, amplitudes, params)
+        wf = _sequence_samples(gates, duration_s, amplitudes, params, quadrature=True)
         for i, taps in enumerate(ladders):
-            # the reference lane first: its distort runs the pair's one Hilbert transform, whose
-            # spectrum and FFT scratch then overlap no distorted lane
-            ref = distort(wf, ImpulseResponse(taps=taps.taps[:1])).samples
+            # the distorted lane first: a Fourier convolution's FFT buffers then overlap no H[x]
             dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
+            ref = distort(wf, ImpulseResponse(taps=taps.taps[:1])).samples
             if i == len(ladders) - 1:
-                del wf  # with its analytic signal, before the padded copy below
+                del wf  # with its quadrature, before the padded copy below
             # evolve over a common horizon so lab-frame phases cancel in the overlap; the distorted
             # lane reaches past the direct tap (to the last tap or the window), so it is never shorter
             padded = np.pad(ref, (0, dist_wf.samples.size - ref.size))

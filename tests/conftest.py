@@ -101,3 +101,22 @@ def mutated_s1p(kind, data):
         i = draw_line("line")
         text = "\n".join(lines[:i] + [lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]])
     return text.encode("latin-1")
+
+
+def record_ffts(monkeypatch):
+    """(name, length) of every numpy FFT called from now on."""
+    calls = []
+
+    def recording(name, default_len):
+        fft = getattr(np.fft, name)
+
+        def wrapped(a, n=None, *args, **kwargs):
+            calls.append((name, n if n is not None else default_len(np.shape(a)[-1])))
+            return fft(a, n, *args, **kwargs)
+
+        return wrapped
+
+    for name, default_len in [("fft", lambda m: m), ("ifft", lambda m: m), ("rfft", lambda m: m),
+                              ("irfft", lambda m: 2 * (m - 1))]:
+        monkeypatch.setattr(np.fft, name, recording(name, default_len))
+    return calls

@@ -22,6 +22,8 @@ from cryocal.distortion import _hilbert_transform
 from cryocal.timegate import TimeTrace
 from cryocal.traces import _freeze
 
+from conftest import record_ffts
+
 C = 299792458.0
 
 
@@ -349,36 +351,17 @@ def _largest_prime_factor(n):
     return largest
 
 
-def _record_ffts(monkeypatch):
-    """(name, length) of every numpy FFT called from now on."""
-    calls = []
-
-    def recording(name, default_len):
-        fft = getattr(np.fft, name)
-
-        def wrapped(a, n=None, *args, **kwargs):
-            calls.append((name, n if n is not None else default_len(np.shape(a)[-1])))
-            return fft(a, n, *args, **kwargs)
-
-        return wrapped
-
-    for name, default_len in [("fft", lambda m: m), ("ifft", lambda m: m), ("rfft", lambda m: m),
-                              ("irfft", lambda m: 2 * (m - 1))]:
-        monkeypatch.setattr(np.fft, name, recording(name, default_len))
-    return calls
-
-
 def test_analytic_signal_uses_only_fast_fft_lengths(monkeypatch):
-    calls = _record_ffts(monkeypatch)
+    calls = record_ffts(monkeypatch)
     _hilbert_transform(_xy_60ns_samples())
     assert calls and max(_largest_prime_factor(n) for _, n in calls) <= 5, calls
 
 
-def test_analytic_signal_at_a_seen_length_runs_two_fast_real_ffts(monkeypatch):
-    # the Hilbert kernel's spectrum depends on the length alone and is built once
+def test_analytic_signal_retains_nothing_between_calls(monkeypatch):
+    # the kernel's spectrum is built in every call, at 5-smooth lengths like the signal's FFTs
     x = _xy_60ns_samples()
     _hilbert_transform(x)
-    calls = _record_ffts(monkeypatch)
+    calls = record_ffts(monkeypatch)
     _hilbert_transform(x)
-    assert [name for name, _ in calls] == ["rfft", "irfft"], calls
+    assert [name for name, _ in calls] == ["rfft", "rfft", "irfft"], calls
     assert max(_largest_prime_factor(n) for _, n in calls) <= 5, calls

@@ -32,6 +32,8 @@ from cryocal import distortion, qubitsim
 from cryocal.distortion import distort, distort_with_response, impulse_response_fourier, impulse_response_taps
 from cryocal.qubitsim import GROUND
 
+from conftest import record_ffts
+
 PARAMS = QubitParams()
 EXCITED = QubitState(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
 
@@ -485,21 +487,143 @@ def test_zero_distortion_simulates_nothing(monkeypatch):
     assert run_allxy(None, 5e-9, PARAMS, pairs=DEFAULT_PAIRS) == [0.0] * 25
 
 
-def test_taps_path_builds_one_analytic_signal_per_pair(monkeypatch):
-    # a sweep synthesizes each pair once, so its points share one analytic signal
+def _count_hilbert_transforms(monkeypatch):
+    """Sizes of the Hilbert transforms run from now on: qubitsim's basis builds and
+    any waveform's own quadrature."""
     calls = []
     hilbert = distortion._hilbert_transform
-    monkeypatch.setattr(distortion, "_hilbert_transform", lambda x: calls.append(x.size) or hilbert(x))
+
+    def spy(x):
+        calls.append(x.size)
+        return hilbert(x)
+
+    monkeypatch.setattr(distortion, "_hilbert_transform", spy)
+    monkeypatch.setattr(qubitsim, "_hilbert_transform", spy)
+    return calls
+
+
+def test_each_gate_shape_runs_two_hilbert_transforms_per_process(monkeypatch):
+    # the first call at a gate shape builds its basis from H[Re u] and H[Im u]; every later
+    # drive of that shape, in any pair, model, sweep point or call, runs no transform
+    qubitsim._quadrature_basis.cache_clear()
+    calls = _count_hilbert_transforms(monkeypatch)
     m, pairs = MismatchModel(15.0, 15.0, 0.276), (("X", "Y"), ("Y", "X"))
+    run_allxy(m, 5e-9, PARAMS, pairs=pairs)
+    assert calls == [20_001, 20_001]
     runs = [
-        lambda: run_allxy(m, 5e-9, PARAMS, pairs=pairs),
+        lambda: run_allxy(m, 5e-9, PARAMS, pairs=pairs, method="fourier"),
         lambda: sweep_return_loss(m, np.array([14.0, 15.0, 16.0]), 5e-9, PARAMS, pairs=pairs),
-        lambda: sweep_length(m, np.array([0.27, 0.276, 0.28]), 5e-9, PARAMS, pairs=pairs),
+        lambda: sweep_length(m, np.array([0.27, 0.276, 0.28]), 5e-9, PARAMS, pairs=DEFAULT_PAIRS[:6]),
     ]
     for run in runs:
         calls.clear()
         run()
-        assert len(calls) == len(pairs)
+        assert calls == []
+    run_allxy(m, 5e-9, PARAMS, pairs=(("X", "Y", "X90"),))  # a new shape: three gates
+    assert calls == [30_001, 30_001]
+
+
+def test_warm_60ns_run_allxy_runs_no_fft_at_the_hilbert_length(monkeypatch):
+    # the taps path runs no FFT at all; the Fourier path only its response and convolution
+    model, n = MismatchModel(15.0, 15.0, 0.276), 240_001  # samples of a 60 ns XY pair
+    for method in ("taps", "fourier"):
+        run_allxy(model, 60e-9, PARAMS, method=method)
+    calls = record_ffts(monkeypatch)
+    run_allxy(model, 60e-9, PARAMS, method="taps")
+    assert calls == []
+    run_allxy(model, 60e-9, PARAMS, method="fourier")
+    assert calls and max(size for _, size in calls) < 2 * n - 1, calls
+
+
+def _synthesized_quadratures(monkeypatch, model, duration_s, pairs, method="taps"):
+    """(samples, quadrature) of every drive that run_allxy distorts."""
+    seen = {}
+
+    def spy(pulse, h):
+        seen[id(pulse)] = (pulse, pulse._quadrature)  # holding the pulse keeps its id unique
+        return distort(pulse, h)
+
+    monkeypatch.setattr(qubitsim, "distort", spy)
+    run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
+    return [(pulse.samples, hx) for pulse, hx in seen.values()]
+
+
+@pytest.mark.parametrize(
+    "duration_s, pairs",
+    [(5e-9, DEFAULT_PAIRS), (5e-9, (("X", "Y90", "Y"),)), (5e-9, (("I", "I"),)), (60e-9, XY_PAIR),
+     (5.0004e-9, (("X", "Y"),))],
+    ids=["5ns-all-pairs", "5ns-three-gates", "5ns-identity", "60ns-xy", "asymmetric-envelope"],
+)
+def test_drive_quadrature_from_the_basis_matches_a_fresh_transform(duration_s, pairs, monkeypatch):
+    drives = _synthesized_quadratures(monkeypatch, MismatchModel(15.0, 15.0, 0.276), duration_s, pairs)
+    assert len(drives) == len(pairs)
+    for x, hx in drives:
+        fresh = distortion._hilbert_transform(x)
+        assert np.max(np.abs(hx - fresh)) <= 1e-12 * np.max(np.abs(x)), np.max(np.abs(hx - fresh)) / np.max(np.abs(x))
+        if not np.any(x):
+            assert not np.any(hx)
+
+
+def _unit_pulse_transform(n_gates, duration_s):
+    """H[u] over the whole frame, u = env exp(i w_q ds b), from two fresh transforms."""
+    frame = lambda gate, amp: qubitsim._sequence_samples(
+        [GateOp(gate)] + [GateOp("I")] * (n_gates - 1), duration_s, {gate: amp}, PARAMS).samples
+    re, im = frame("X", 1.0), frame("Y", -1.0)
+    return re + 1j * im, distortion._hilbert_transform(re) + 1j * distortion._hilbert_transform(im)
+
+
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
+def test_quadrature_basis_keeps_half_the_frame_by_its_reflection(duration_s):
+    # H[u](n_gate - j mod n) = -exp(i w_q T) conj(H[u](j)), T = n_gate ds, for the symmetric envelope
+    u, hu = _unit_pulse_transform(2, duration_s)
+    n, n_gate, ds = hu.size, (hu.size - 1) // 2, PARAMS.dt_s / 2
+    turn = cmath.exp(1j * PARAMS.omega_q * ds * n_gate)
+    reflected = -turn * np.conj(hu[(n_gate - np.arange(n)) % n])
+    assert np.max(np.abs(reflected - hu)) <= 1e-12 * np.max(np.abs(u))
+    basis = qubitsim._quadrature_basis(2, duration_s, PARAMS)
+    assert basis.size == (n + 1) // 2 and not basis.flags.writeable
+    np.testing.assert_array_equal(basis, hu[n_gate // 2 : n_gate // 2 + basis.size])
+
+
+def test_quadrature_basis_keeps_the_whole_frame_for_an_asymmetric_envelope():
+    # 5.0004 ns rounds to 5 ns of samples, so the envelope is not symmetric about their midpoint
+    _, hu = _unit_pulse_transform(2, 5.0004e-9)
+    basis = qubitsim._quadrature_basis(2, 5.0004e-9, PARAMS)
+    c = (hu.size - 1) // 4
+    np.testing.assert_array_equal(basis, np.roll(hu, -c))
+
+
+def test_fidelity_is_the_same_cold_warm_and_after_eviction():
+    m = MismatchModel(15.0, 15.0, 0.276)
+    qubitsim._quadrature_basis.cache_clear()
+    cold = run_allxy(m, 5e-9, PARAMS, pairs=DEFAULT_PAIRS[:8])
+    warm = run_allxy(m, 5e-9, PARAMS, pairs=DEFAULT_PAIRS[:8])
+    qubitsim._quadrature_basis.cache_clear()
+    cleared = run_allxy(m, 5e-9, PARAMS, pairs=DEFAULT_PAIRS[:8])
+    for pairs in ((("X",),), (("X", "Y", "X"),)):  # two other shapes evict the pair's basis
+        run_allxy(m, 5e-9, PARAMS, pairs=pairs)
+    assert qubitsim._quadrature_basis.cache_info().currsize == 2
+    evicted = run_allxy(m, 5e-9, PARAMS, pairs=DEFAULT_PAIRS[:8])
+    assert [x.hex() for x in cold] == [x.hex() for x in warm] == [x.hex() for x in cleared] == [x.hex() for x in evicted]
+
+
+def test_calibration_alone_builds_no_quadrature_basis():
+    qubitsim._quadrature_basis.cache_clear()
+    qubitsim.calibrated_amplitudes(["X", "Y90"], 5e-9, PARAMS)
+    synth_gate_pulse(GateOp("X"), 5e-9, PARAMS)
+    assert qubitsim._quadrature_basis.cache_info().misses == 0
+
+
+def test_replaced_or_hand_built_waveform_runs_its_own_transform(monkeypatch):
+    gates, amps = [GateOp("X"), GateOp("Y")], {"X": 1.2e9, "Y": 1.2e9}
+    wf = qubitsim._sequence_samples(gates, 5e-9, amps, PARAMS, quadrature=True)
+    calls = _count_hilbert_transforms(monkeypatch)
+    others = [replace(wf, samples=2 * wf.samples), PulseWaveform(wf.dt_s, wf.samples, wf.carrier_hz)]
+    for other in others:
+        np.testing.assert_array_equal(other._quadrature, distortion._hilbert_transform(other.samples))
+    assert len(calls) == 4  # one per waveform, one per oracle
+    wf._quadrature  # the synthesized drive reads its basis
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
@@ -522,7 +646,7 @@ def test_run_allxy_waveforms_adopt_the_arrays_built_for_them(method, monkeypatch
 
 
 def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
-    # measured warm: the cached Hilbert kernel spectrum and carrier table are
+    # measured warm: the cached quadrature basis and carrier table are
     # counted once, by size, on top of the traced peak of both methods
     model = MismatchModel(15.0, 15.0, 0.276)
     for method in ("taps", "fourier"):
@@ -534,19 +658,19 @@ def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = 240_001  # samples of a 60 ns XY pair
-    tables = distortion._hilbert_spectrum(n, distortion._fast_len(2 * n - 1)).nbytes
+    tables = qubitsim._quadrature_basis(2, 60e-9, PARAMS).nbytes
     tables += qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2).nbytes
     assert peak + tables <= 15e6, (peak, tables)
 
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
 def test_60ns_hilbert_transform_overlaps_no_distorted_lane(method, monkeypatch):
-    # the reference lane is built first, so when the pair's one Hilbert
-    # transform starts, only the drive and (Fourier) the sampled response are
-    # alive; the distorted lane alone would add 2.3 MB
+    # the basis is built before the pair's drive exists, so when each of its two
+    # transforms starts only the unit-gate frame, the kept half of the first
+    # transform and (Fourier) the sampled response are alive; the drive alone would add 1.9 MB
     model = MismatchModel(15.0, 15.0, 0.276)
-    run_allxy(model, 60e-9, PARAMS, method=method)  # warm: the cached tables are not traced
+    run_allxy(model, 60e-9, PARAMS, method=method)  # warm: the carrier table is not traced
+    qubitsim._quadrature_basis.cache_clear()
     at_entry = []
     hilbert = distortion._hilbert_transform
 
@@ -554,18 +678,20 @@ def test_60ns_hilbert_transform_overlaps_no_distorted_lane(method, monkeypatch):
         at_entry.append((tracemalloc.get_traced_memory()[0], x.nbytes))
         return hilbert(x)
 
-    monkeypatch.setattr(distortion, "_hilbert_transform", spy)
+    monkeypatch.setattr(qubitsim, "_hilbert_transform", spy)
     tracemalloc.start()
     try:
         run_allxy(model, 60e-9, PARAMS, method=method)
     finally:
         tracemalloc.stop()
-    [(current, drive)] = at_entry
+    [(first, frame), (second, _)] = at_entry
+    kept = qubitsim._quadrature_basis(2, 60e-9, PARAMS).real.nbytes
     response = 0
     if method == "fourier":
         window = model.transit_s + (model.max_reflections + 3) * model.spacing_s  # the window run_allxy uses
         response = impulse_response_fourier(model, 1.0 / PARAMS.dt_s, window).values.nbytes
-    assert current <= drive + response + 0.25e6, (current, drive, response)
+    assert first <= frame + response + 0.25e6, (first, frame, response)
+    assert second <= frame + kept + response + 0.25e6, (second, frame, kept, response)
 
 
 def test_infinite_return_loss_limit():
@@ -648,6 +774,14 @@ def test_sweep_validation(monkeypatch):
             lambda: run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=()),
             "pairs must be non-empty, each a non-empty sequence of gate names ['I', 'X', 'Y', 'X90', 'Y90'], got ()",
         ),
+        (
+            lambda: run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=["XY"]),
+            "pairs must be non-empty, each a non-empty sequence of gate names ['I', 'X', 'Y', 'X90', 'Y90'], got ['XY']",
+        ),
+        (
+            lambda: run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=["X90"]),
+            "pairs must be non-empty, each a non-empty sequence of gate names ['I', 'X', 'Y', 'X90', 'Y90'], got ['X90']",
+        ),
         (lambda: calibrate_amplitude(GateOp("I"), 5e-9, PARAMS), "identity gate needs no amplitude calibration"),
         (lambda: run_allxy(None, 5e-12, PARAMS), "duration_s must exceed 10 integrator steps of 1e-12 s, got 5e-12"),
         (
@@ -660,12 +794,19 @@ def test_sweep_validation(monkeypatch):
             "deviation shape does not match axis/pairs",
         ),
     ],
-    ids=["allxy-no-pairs", "calibrate-identity", "allxy-no-model-short-pulse", "synth-short-pulse",
+    ids=["allxy-no-pairs", "allxy-string-pair", "allxy-string-pair-of-one-name", "calibrate-identity",
+         "allxy-no-model-short-pulse", "synth-short-pulse",
          "three-amplitude-state", "sweep-result-shape"],
 )
 def test_fidelity_rejection_names_its_fault(call, message):
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_pair_of_one_multi_letter_gate_name_runs():
+    m = MismatchModel(15.0, 15.0, 0.276)
+    [value] = run_allxy(m, 5e-9, PARAMS, pairs=[["X90"]])
+    assert 0.0 < value < 1e-2 and value == run_allxy(m, 5e-9, PARAMS, pairs=(("X90",),))[0]
 
 
 @pytest.mark.parametrize("sweep", [sweep_length, sweep_return_loss])
