@@ -204,6 +204,7 @@ def _quadrature_basis(n_gates: int, duration_s: float, params: QubitParams) -> n
     suffice. An envelope asymmetric beyond rounding (a duration off the integrator
     grid) keeps the whole frame.
     """
+    _check_sample_count(2.0 * (duration_s / params.dt_s) * n_gates, SimulationError, "the drive")  # before the envelope
     rest = [GateOp("I")] * (n_gates - 1)
     ds = params.dt_s / 2.0
     n_gate = int(round(duration_s / params.dt_s)) * 2
@@ -391,39 +392,97 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     g0, e0 = state.amplitudes
     g = complex(alpha * g0 - np.conj(beta) * e0)
     e = complex(beta * g0 + np.conj(alpha) * e0)
-    norm = math.sqrt(abs(g) ** 2 + abs(e) ** 2)
-    if not abs(norm - 1.0) <= 1e-6:  # false for NaN
-        raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
+    norm = _norm_divisor(g, e)
     # back to the lab frame at the final time
     t_end = (waveform.samples.size - 1) // 2 * params.dt_s
     e_lab = e * cmath.exp(-1j * params.omega_q * t_end)
-    return QubitState(np.array([g, e_lab]) / norm) if abs(norm - 1.0) > 1e-12 else QubitState(np.array([g, e_lab]))
+    return QubitState(np.array([g, e_lab]) / norm)
+
+
+def _norm_divisor(g: complex, e: complex) -> float:
+    """What a propagated state (g, e) is divided by: its norm where that drifts from 1
+    by more than 1e-12, else 1. A drift above 1e-6 raises: the step is too large."""
+    norm = math.sqrt(abs(g) ** 2 + abs(e) ** 2)
+    if not abs(norm - 1.0) <= 1e-6:  # false for NaN
+        raise SimulationError(f"norm drift {abs(norm - 1.0):.3e} exceeds 1e-6; step too large")
+    return norm if abs(norm - 1.0) > 1e-12 else 1.0
+
+
+@lru_cache(maxsize=2)
+def _calibration_probe(axis: str, duration_s: float, params: QubitParams) -> tuple[PulseWaveform, float, complex | None]:
+    """The unit probe :func:`calibrate_amplitude` scales for a gate about ``axis`` ("X" or
+    "Y"), its envelope's rotating-wave area and its mirror ``turn``; read-only.
+
+    The probe is one gate at amplitude 1, x[j] = env[j] cos(w_q ds j + phi) for j = 0 .. 2N,
+    so a pi and a pi/2 gate about one axis share it. Where x[2N - j] = s x[j] within
+    rounding, s = +-1, and N is even, only samples 0 .. N are kept, the first N/2 steps,
+    and turn = -s exp(i w_q T) with T = N dt: the second half's propagator is then the
+    first half's mirrored (:func:`_unmirrored`). Any other probe, such as one whose
+    carrier does not fit 2 f_q T periods or whose envelope is off the integrator grid,
+    keeps all its samples and its turn is None.
+    """
+    unit = _sequence_samples([GateOp(axis)], duration_s, {axis: 1.0}, params)
+    area = float(np.trapezoid(_truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
+    x = unit.samples
+    n = x.size // 2
+    s = math.copysign(1.0, float(x @ x[::-1]))
+    if n % 2 or np.max(np.abs(x[::-1] - s * x)) > 1e-11 * np.max(np.abs(x)):
+        return unit, area, None
+    half = x[: n + 1].copy()
+    half.setflags(write=False)  # built only for the probe waveform, which adopts it
+    return replace(unit, samples=half), area, -s * cmath.exp(1j * params.omega_q * (unit.dt_s * (2 * n)))
+
+
+def _unmirrored(alpha, beta, turn: complex):
+    """(alpha, beta) of a whole mirror-symmetric probe from the (alpha, beta) of its first half.
+
+    The mirror of a step reads s (x1, xm, x0) where the step reads (x0, xm, x1). In
+    :func:`_rk4_step_matrices` that leaves d, p and q, and so alpha, unchanged and turns
+    beta / cm into -s conj(beta / cm); the two midpoint carriers multiply to
+    exp(i w_q T). With D = diag(1, -turn) each mirror step matrix is D M^T D^-1, so
+    the second half, later @ earlier, is D P^T D^-1 = (alpha, turn conj(beta)) for the
+    first half's P = (alpha, beta). Works on arrays, as :func:`_compose` does.
+    """
+    return _compose(alpha, turn * np.conj(beta), alpha, beta)
 
 
 def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) -> float:
     """Envelope scale that realizes the gate's target rotation from |0>.
 
     Newton iteration on the ideal (undistorted) simulation from the
-    rotating-wave estimate; the drive is linear in the scale, so one unit
-    pulse is scaled for every probe. The residual is P_e - sin^2(theta/2)
-    for pi/2 and the ground amplitude g for pi, where Gauss-Newton minimizes
-    |g|^2 = 1 - P_e. The slope comes from probes at a +- h with a fixed h:
-    a shrinking secant step loses it in the propagator's rounding noise.
+    rotating-wave estimate, run in every call. The drive is linear in the
+    scale, so one cached unit probe (:func:`_calibration_probe`) is scaled for
+    every probe. The residual is P_e - sin^2(theta/2) for pi/2 and the ground
+    amplitude g for pi, where Gauss-Newton minimizes |g|^2 = 1 - P_e. The slope
+    comes from probes at a +- h with a fixed h: a shrinking secant step loses
+    it in the propagator's rounding noise.
+
+    A mirror-symmetric probe is evolved over its first half only. Its state
+    from |0> is that half's first column, (alpha, beta e^(-i w_q T/2)), so the
+    whole probe follows from one :func:`_unmirrored` product, and
+    :func:`evolve`'s norm rules are applied to the result. A half that
+    :func:`evolve` renormalized hides its raw drift, so such a probe raises
+    only where its half drifts by more than 1e-6, about 2e-6 for the whole.
+    Any other probe is evolved whole.
     """
     if gate.kind == "I":
         raise SimulationError("identity gate needs no amplitude calibration")
-    unit = _sequence_samples([gate], duration_s, {gate.kind: 1.0}, params)
+    probe, unit_area, turn = _calibration_probe(gate.kind[0], duration_s, params)  # "X" or "Y": the gate's phase
     theta = gate.angle_rad
-    # rotating-wave estimate: envelope area equals the rotation angle
-    unit_area = float(np.trapezoid(_truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
-    est = theta / unit_area
+    est = theta / unit_area  # rotating-wave estimate: envelope area equals the rotation angle
     is_pi = theta > math.pi - 1e-12
     target = math.sin(theta / 2.0) ** 2
+    back = cmath.exp(1j * params.omega_q * ((probe.samples.size - 1) // 2 * params.dt_s))  # undoes the lab frame
 
     def residual(a):
-        probe = a * unit.samples
-        probe.setflags(write=False)  # built only for the probe waveform, which adopts it
-        g, e = evolve(GROUND, replace(unit, samples=probe), params).amplitudes
+        samples = a * probe.samples
+        samples.setflags(write=False)  # built only for the probe waveform, which adopts it
+        state = evolve(GROUND, replace(probe, samples=samples), params).amplitudes
+        g, e = state
+        if turn is not None:
+            alpha, beta = _unmirrored(state[:1], state[1:] * back, turn)
+            norm = _norm_divisor(alpha[0], beta[0])
+            g, e = alpha[0] / norm, beta[0] / norm
         return g if is_pi else abs(e) ** 2 - target
 
     lo, hi = (0.5 * est, 1.5 * est) if is_pi else (0.2 * est, 1.6 * est)
@@ -498,11 +557,13 @@ def run_allxy(
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
     drive is synthesized once, so every model shares its quadrature H[x], which is summed from
-    the gate shape's cached basis: a warm call runs no Hilbert transform."""
+    the gate shape's cached basis: a warm call runs no Hilbert transform. The first pair's basis
+    is built, if it must be, before anything else: its transforms then overlap no calibration probe."""
     sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:
         return out
+    _quadrature_basis(len(sequences[0]), duration_s, params)
     amplitudes = calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, params)
     ladders = [impulse_response_taps(m) for m in models]
     responses = None

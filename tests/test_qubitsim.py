@@ -423,10 +423,118 @@ def test_pi_amplitude_is_stationary_point_of_ground_population(duration_s):
 
 
 def test_60ns_pi_calibration_takes_at_most_six_evolves(monkeypatch):
-    calls = []
-    monkeypatch.setattr(qubitsim, "evolve", lambda *a: calls.append(1) or evolve(*a))
-    calibrate_amplitude(GateOp("X"), 60e-9, PARAMS)
-    assert len(calls) <= 6
+    # every call calibrates anew, and each probe evolves its first half: 30,000 of 60,000 steps
+    steps = []
+    monkeypatch.setattr(qubitsim, "evolve", lambda state, wf, params: steps.append((wf.samples.size - 1) // 2) or evolve(state, wf, params))
+    for _ in range(2):
+        steps.clear()
+        calibrate_amplitude(GateOp("X"), 60e-9, PARAMS)
+        assert steps == [30_000] * 4
+
+
+def _full_probe_calibration(gate, duration_s, params):
+    """The Newton calibration with every probe evolved whole, as it ran before the
+    mirror: the construction the half-probe calibration must reproduce."""
+    unit = qubitsim._sequence_samples([gate], duration_s, {gate.kind: 1.0}, params)
+    area = float(np.trapezoid(qubitsim._truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
+    theta = gate.angle_rad
+    est, is_pi, target = theta / area, theta > math.pi - 1e-12, math.sin(theta / 2.0) ** 2
+
+    def residual(a):
+        g, e = evolve(GROUND, replace(unit, samples=a * unit.samples), params).amplitudes
+        return g if is_pi else abs(e) ** 2 - target
+
+    a, h = est, 1e-5 * est
+    for _ in range(20):
+        r_hi, r_lo = residual(a + h), residual(a - h)
+        jac, mean = (r_hi - r_lo) / (2.0 * h), 0.5 * (r_hi + r_lo)
+        step = (jac.conjugate() * mean).real / abs(jac) ** 2
+        a -= step
+        if abs(step) <= 1e-12 * est:
+            return float(a)
+    pytest.fail("full-probe calibration did not converge")
+
+
+ANTISYMMETRIC = replace(PARAMS, omega_q=2 * math.pi * 5.1e9)  # 25.5 carrier periods in 5 ns: x(T - t) = -x(t)
+
+
+def _half_and_whole_probe(kind, duration_s, params):
+    """The mirrored propagator of the calibrated probe's first half, and the whole probe."""
+    a = calibrate_amplitude(GateOp(kind), duration_s, params)
+    half, _, turn = qubitsim._calibration_probe(kind[0], duration_s, params)
+    alpha, beta = qubitsim._propagator(replace(half, samples=a * half.samples), params)
+    mirrored = qubitsim._unmirrored(np.array([alpha]), np.array([beta]), turn)
+    whole = qubitsim._sequence_samples([GateOp(kind)], duration_s, {kind: a}, params)
+    assert whole.samples.size == 2 * half.samples.size - 1
+    return np.concatenate(mirrored), whole
+
+
+@pytest.mark.parametrize(
+    "kind, duration_s, params",
+    [("X", 5e-9, PARAMS), ("X90", 5e-9, PARAMS), ("X", 60e-9, PARAMS), ("X90", 60e-9, PARAMS),
+     ("X", 5e-9, ANTISYMMETRIC), ("X90", 5e-9, ANTISYMMETRIC)],
+    ids=["X-5ns", "X90-5ns", "X-60ns", "X90-60ns", "X-5ns-antisymmetric", "X90-5ns-antisymmetric"],
+)
+def test_mirrored_half_probe_is_the_whole_probes_propagator(kind, duration_s, params):
+    mirrored, whole = _half_and_whole_probe(kind, duration_s, params)
+    x = whole.samples
+    s = -1.0 if params is ANTISYMMETRIC else 1.0
+    assert np.max(np.abs(x[::-1] - s * x)) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(mirrored - qubitsim._propagator(whole, params))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["X", "X90"])
+def test_mirrored_half_probe_meets_the_scalar_oracle(kind):
+    mirrored, whole = _half_and_whole_probe(kind, 5e-9, PARAMS)
+    g, e_lab = _rk4_oracle(GROUND, whole, PARAMS).amplitudes
+    e = e_lab * cmath.exp(1j * PARAMS.omega_q * ((whole.samples.size - 1) // 2 * PARAMS.dt_s))
+    assert np.max(np.abs(mirrored / np.linalg.norm(mirrored) - [g, e])) <= 1e-12
+
+
+@pytest.mark.parametrize("duration_s", [5e-9, 8e-9, 60e-9])  # at 8 ns the X90 half drifts 7e-13, the whole 1.4e-12
+@pytest.mark.parametrize("kind", ["X", "X90"])
+def test_half_probe_calibration_is_the_whole_probes(kind, duration_s):
+    got = calibrate_amplitude(GateOp(kind), duration_s, PARAMS)
+    assert got == pytest.approx(_full_probe_calibration(GateOp(kind), duration_s, PARAMS), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["X", "X90"])
+@pytest.mark.parametrize(
+    "duration_s, params",
+    [
+        (5e-9, replace(PARAMS, omega_q=2 * math.pi * 5.05e9)),
+        (5.0004e-9, PARAMS),
+        (5.001e-9, replace(PARAMS, omega_q=2 * math.pi * 25 / 5.001e-9)),  # symmetric, but 5,001 steps
+    ],
+    ids=["25.25-carrier-periods", "envelope-off-the-grid", "odd-step-count"],
+)
+def test_probe_without_a_mirror_calibrates_whole_and_bitwise(kind, duration_s, params):
+    probe, _, turn = qubitsim._calibration_probe(kind[0], duration_s, params)
+    assert turn is None and probe.samples.size == 2 * int(round(duration_s / params.dt_s)) + 1
+    got = calibrate_amplitude(GateOp(kind), duration_s, params)
+    assert got.hex() == _full_probe_calibration(GateOp(kind), duration_s, params).hex()
+
+
+def test_half_probe_calibration_keeps_the_norm_guard():
+    # at a 10 ps step the first half of a 0.5 ns pi probe already drifts by about 4.5e-6
+    params = replace(PARAMS, dt_s=10e-12)
+    assert qubitsim._calibration_probe("X", 0.5e-9, params)[2] is not None
+    with pytest.raises(SimulationError, match="exceeds 1e-6; step too large"):
+        calibrate_amplitude(GateOp("X"), 0.5e-9, params)
+
+
+def test_calibration_is_the_same_cold_warm_and_after_clearing_the_probe():
+    model, pairs = MismatchModel(15.0, 15.0, 0.276), (("X", "Y"), ("Y90", "X"))
+
+    def run():
+        amps = qubitsim.calibrated_amplitudes(["X", "X90"], 5e-9, PARAMS)
+        return [amps["X"].hex(), amps["X90"].hex(), *(x.hex() for x in run_allxy(model, 5e-9, PARAMS, pairs=pairs))]
+
+    qubitsim._calibration_probe.cache_clear()
+    cold = run()
+    warm = run()
+    qubitsim._calibration_probe.cache_clear()
+    assert cold == warm == run()
 
 
 def test_calibration_rejects_zero_duration():
@@ -646,8 +754,8 @@ def test_run_allxy_waveforms_adopt_the_arrays_built_for_them(method, monkeypatch
 
 
 def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
-    # measured warm: the cached quadrature basis and carrier table are
-    # counted once, by size, on top of the traced peak of both methods
+    # measured warm: the cached quadrature basis, carrier table and calibration
+    # probe are counted once, by size, on top of the traced peak of both methods
     model = MismatchModel(15.0, 15.0, 0.276)
     for method in ("taps", "fourier"):
         run_allxy(model, 60e-9, PARAMS, method=method)
@@ -660,6 +768,7 @@ def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
         tracemalloc.stop()
     tables = qubitsim._quadrature_basis(2, 60e-9, PARAMS).nbytes
     tables += qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2).nbytes
+    tables += qubitsim._calibration_probe("X", 60e-9, PARAMS)[0].samples.nbytes
     assert peak + tables <= 15e6, (peak, tables)
 
 
