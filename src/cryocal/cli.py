@@ -268,12 +268,15 @@ def cmd_extract_loss(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[
 
 
 def _read_ecal_table(path: Path) -> UncertaintyTable:
-    """(s11_db, sigma_linear) rows; the first line is a header if its cells are not numbers."""
+    """(s11_db, sigma_linear) rows; the first line is a header if its cells are not numbers.
+
+    A cell is a number as ``np.loadtxt`` reads Touchstone records, not as ``float`` reads
+    one: ``3_0`` and non-ASCII digits are not numbers."""
     lines = [(n, ln.strip()) for n, ln in enumerate(_read_text(path).splitlines(), 1) if ln.strip()]
     rows = []
     for k, (lineno, ln) in enumerate(lines):
         try:
-            row = [float(cell) for cell in ln.split(",")]
+            row = np.loadtxt([ln], delimiter=",", comments=None, ndmin=1).tolist()
         except ValueError:
             if k == 0:
                 continue

@@ -150,7 +150,8 @@ def _sequence_samples(
 ) -> PulseWaveform:
     """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier.
 
-    Every gate shares one envelope. Its carrier cos(w_q t + phi) is built in
+    Every gate lasts round(duration/dt) steps under one symmetric envelope, a
+    Gaussian spanning exactly those steps. Its carrier cos(w_q t + phi) is built in
     blocks of the carrier table's length: from block start t_b on it is
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
     large argument. With ``quadrature`` the waveform's H[x] is summed from
@@ -164,7 +165,7 @@ def _sequence_samples(
     n_gate = int(round(steps)) * 2  # samples per gate
     basis = _quadrature_basis(len(gates), duration_s, params) if quadrature else None
     x = np.zeros(n_gate * len(gates) + 1)
-    env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
+    env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), ds * n_gate)
     table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
     for i, gate in enumerate(gates):
         if gate.kind == "I":
@@ -193,32 +194,21 @@ def _sequence_samples(
 def _quadrature_basis(n_gates: int, duration_s: float, params: QubitParams) -> np.ndarray:
     """H[u] of the unit gate pulse u[b] = env[b] exp(i w_q ds b), b = 0 .. n_gate, in the
     length-n frame of an ``n_gates``-gate sequence, read-only; element d is frame sample
-    c + d, c = n_gate/2 the pulse's midpoint.
+    c + d, c = n_gate/2 the pulse's midpoint, for d = 0 .. (n-1)/2.
 
     Each gate is Re(a u) with a complex a, shifted by a multiple of n_gate, and the
     circular H is real-linear and commutes with circular shifts, so a drive's H[x] is a
     sum of shifted copies of Re(a H[u]) (:func:`_basis_quadrature`). Re u and Im u are the
-    frames of a unit X gate and a -1 scaled Y gate, each transformed once. A symmetric
-    envelope gives u(n_gate - b) = t conj(u(b)), t = exp(i w_q ds n_gate), and H is odd
-    under that reflection, so H[u](c - d) = -t conj(H[u](c + d)) and d = 0 .. (n-1)/2
-    suffice. An envelope asymmetric beyond rounding (a duration off the integrator
-    grid) keeps the whole frame.
+    frames of a unit X gate and a -1 scaled Y gate, each transformed once. The envelope
+    is symmetric, so u(n_gate - b) = t conj(u(b)), t = exp(i w_q ds n_gate), and H is odd
+    under that reflection: H[u](c - d) = -t conj(H[u](c + d)), so half the frame holds H[u].
     """
-    _check_sample_count(2.0 * (duration_s / params.dt_s) * n_gates, SimulationError, "the drive")  # before the envelope
     rest = [GateOp("I")] * (n_gates - 1)
-    ds = params.dt_s / 2.0
-    n_gate = int(round(duration_s / params.dt_s)) * 2
-    n, c = n_gate * n_gates + 1, n_gate // 2
-    env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), duration_s)
-    keep = (n + 1) // 2 if np.max(np.abs(env - env[::-1])) <= 1e-14 else n
-    k = min(keep, n - c)
-    del env
     parts = []
     for gate, amp in (("X", 1.0), ("Y", -1.0)):  # cos(w t + pi/2) = -sin(w t)
-        frame = _sequence_samples([GateOp(gate), *rest], duration_s, {gate: amp}, params).samples
-        hu = _hilbert_transform(frame)
-        del frame
-        parts.append(np.concatenate((hu[c : c + k], hu[: keep - k])))  # frame samples c .. c + keep - 1, circularly
+        hu = _hilbert_transform(_sequence_samples([GateOp(gate), *rest], duration_s, {gate: amp}, params).samples)
+        c, keep = (hu.size - 1) // n_gates // 2, (hu.size + 1) // 2
+        parts.append(hu[c : c + keep].copy())  # frame samples c .. c + keep - 1
         del hu
     basis = np.empty(keep, complex)
     basis.real, basis.imag = parts
@@ -234,9 +224,8 @@ def _basis_quadrature(basis: np.ndarray, n: int, shifted, turn: complex) -> np.n
     mirror = basis[back:0:-1]
     for p, a in shifted:
         _add_circular(hx, p, a.real * basis.real - a.imag * basis.imag)
-        if back:  # Re(a H[u](c - d)) = Re(-a t conj(H[u](c + d)))
-            r = -a * turn
-            _add_circular(hx, p - back, r.real * mirror.real + r.imag * mirror.imag)
+        r = -a * turn  # Re(a H[u](c - d)) = Re(-a t conj(H[u](c + d)))
+        _add_circular(hx, p - back, r.real * mirror.real + r.imag * mirror.imag)
     return hx
 
 
@@ -409,41 +398,26 @@ def _norm_divisor(g: complex, e: complex) -> float:
 
 
 @lru_cache(maxsize=2)
-def _calibration_probe(axis: str, duration_s: float, params: QubitParams) -> tuple[PulseWaveform, float, complex | None]:
+def _calibration_probe(axis: str, duration_s: float, params: QubitParams) -> tuple[PulseWaveform, float, float | None]:
     """The unit probe :func:`calibrate_amplitude` scales for a gate about ``axis`` ("X" or
-    "Y"), its envelope's rotating-wave area and its mirror ``turn``; read-only.
+    "Y"), its envelope's rotating-wave area and its mirror sign ``s``; read-only.
 
     The probe is one gate at amplitude 1, x[j] = env[j] cos(w_q ds j + phi) for j = 0 .. 2N,
     so a pi and a pi/2 gate about one axis share it. Where x[2N - j] = s x[j] within
-    rounding, s = +-1, and N is even, only samples 0 .. N are kept, the first N/2 steps,
-    and turn = -s exp(i w_q T) with T = N dt: the second half's propagator is then the
-    first half's mirrored (:func:`_unmirrored`). Any other probe, such as one whose
-    carrier does not fit 2 f_q T periods or whose envelope is off the integrator grid,
-    keeps all its samples and its turn is None.
+    rounding, s = +-1, and N is even, only samples 0 .. N are kept, the first N/2 steps.
+    The envelope is symmetric, so s is None only where the carrier does not fit 2 f_q T
+    periods or N is odd, and such a probe keeps all its samples.
     """
     unit = _sequence_samples([GateOp(axis)], duration_s, {axis: 1.0}, params)
-    area = float(np.trapezoid(_truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
     x = unit.samples
+    area = float(np.trapezoid(_truncated_gaussian_envelope(unit.times, unit.dt_s * (x.size - 1)), dx=unit.dt_s))
     n = x.size // 2
     s = math.copysign(1.0, float(x @ x[::-1]))
     if n % 2 or np.max(np.abs(x[::-1] - s * x)) > 1e-11 * np.max(np.abs(x)):
         return unit, area, None
     half = x[: n + 1].copy()
     half.setflags(write=False)  # built only for the probe waveform, which adopts it
-    return replace(unit, samples=half), area, -s * cmath.exp(1j * params.omega_q * (unit.dt_s * (2 * n)))
-
-
-def _unmirrored(alpha, beta, turn: complex):
-    """(alpha, beta) of a whole mirror-symmetric probe from the (alpha, beta) of its first half.
-
-    The mirror of a step reads s (x1, xm, x0) where the step reads (x0, xm, x1). In
-    :func:`_rk4_step_matrices` that leaves d, p and q, and so alpha, unchanged and turns
-    beta / cm into -s conj(beta / cm); the two midpoint carriers multiply to
-    exp(i w_q T). With D = diag(1, -turn) each mirror step matrix is D M^T D^-1, so
-    the second half, later @ earlier, is D P^T D^-1 = (alpha, turn conj(beta)) for the
-    first half's P = (alpha, beta). Works on arrays, as :func:`_compose` does.
-    """
-    return _compose(alpha, turn * np.conj(beta), alpha, beta)
+    return replace(unit, samples=half), area, s
 
 
 def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) -> float:
@@ -457,32 +431,30 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     comes from probes at a +- h with a fixed h: a shrinking secant step loses
     it in the propagator's rounding noise.
 
-    A mirror-symmetric probe is evolved over its first half only. Its state
-    from |0> is that half's first column, (alpha, beta e^(-i w_q T/2)), so the
-    whole probe follows from one :func:`_unmirrored` product, and
-    :func:`evolve`'s norm rules are applied to the result. A half that
-    :func:`evolve` renormalized hides its raw drift, so such a probe raises
-    only where its half drifts by more than 1e-6, about 2e-6 for the whole.
-    Any other probe is evolved whole.
+    A probe with a mirror sign s is evolved over its first half only. The second
+    half's steps read the first's samples reversed and scaled by s, so each keeps
+    its mirror's alpha and has -s conj(beta / cm) (:func:`_rk4_step_matrices`), and
+    from the half's state (g, e) the whole probe's is (g^2 + s e^2, conj(g) e -
+    s g conj(e)), e up to a phase exp(i w_q T/2) that no residual reads.
+    :func:`evolve`'s norm rules are applied to it; a half that :func:`evolve`
+    renormalized hides its raw drift, so such a probe raises only where its half
+    drifts by more than 1e-6, about 2e-6 for the whole. Any other probe is evolved whole.
     """
     if gate.kind == "I":
         raise SimulationError("identity gate needs no amplitude calibration")
-    probe, unit_area, turn = _calibration_probe(gate.kind[0], duration_s, params)  # "X" or "Y": the gate's phase
+    probe, unit_area, s = _calibration_probe(gate.kind[0], duration_s, params)  # "X" or "Y": the gate's phase
     theta = gate.angle_rad
     est = theta / unit_area  # rotating-wave estimate: envelope area equals the rotation angle
     is_pi = theta > math.pi - 1e-12
     target = math.sin(theta / 2.0) ** 2
-    back = cmath.exp(1j * params.omega_q * ((probe.samples.size - 1) // 2 * params.dt_s))  # undoes the lab frame
 
     def residual(a):
         samples = a * probe.samples
         samples.setflags(write=False)  # built only for the probe waveform, which adopts it
-        state = evolve(GROUND, replace(probe, samples=samples), params).amplitudes
-        g, e = state
-        if turn is not None:
-            alpha, beta = _unmirrored(state[:1], state[1:] * back, turn)
-            norm = _norm_divisor(alpha[0], beta[0])
-            g, e = alpha[0] / norm, beta[0] / norm
+        g, e = evolve(GROUND, replace(probe, samples=samples), params).amplitudes
+        if s is not None:  # the whole probe's state
+            g, e = g * g + s * e * e, g.conjugate() * e - s * g * e.conjugate()
+            g, e = np.array([g, e]) / _norm_divisor(g, e)
         return g if is_pi else abs(e) ** 2 - target
 
     lo, hi = (0.5 * est, 1.5 * est) if is_pi else (0.2 * est, 1.6 * est)

@@ -761,6 +761,18 @@ def test_non_numeric_ecal_cell_is_config_error(valid, tmp_path):
     assert code == 2 and "ecal.csv, line 4" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "row", ["3_0,0.002", "30,0.00_2", "\u0663\u0660,0.002"], ids=["separator", "fraction-separator", "arabic-indic"]
+)
+def test_ecal_cell_outside_the_touchstone_number_grammar_is_config_error(valid, tmp_path, row):
+    # Python's float reads 30, 0.002 and 30; the Touchstone grammar reads none of them
+    argv, cfg = valid[1]["uncertainty-trace"]
+    table = tmp_path / "ecal.csv"
+    table.write_text(f"s11_db,sigma_linear\n0,0.002\n{row}\n50,0.002\n", encoding="utf-8")
+    code, err = run_config(argv, dict(cfg, ecal_table=str(table)), tmp_path)
+    assert code == 2 and f"{table}, line 3: non-numeric cell in {row!r}" in err and "Traceback" not in err, err
+
+
 FUZZ_VALUES = (DROP, None, "x", True, [1], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 1e300, 1e-300)
 
 

@@ -436,7 +436,8 @@ def _full_probe_calibration(gate, duration_s, params):
     """The Newton calibration with every probe evolved whole, as it ran before the
     mirror: the construction the half-probe calibration must reproduce."""
     unit = qubitsim._sequence_samples([gate], duration_s, {gate.kind: 1.0}, params)
-    area = float(np.trapezoid(qubitsim._truncated_gaussian_envelope(unit.times, duration_s), dx=unit.dt_s))
+    t = unit.times  # the Gaussian spans the pulse's own samples
+    area = float(np.trapezoid(qubitsim._truncated_gaussian_envelope(t, float(t[-1])), dx=unit.dt_s))
     theta = gate.angle_rad
     est, is_pi, target = theta / area, theta > math.pi - 1e-12, math.sin(theta / 2.0) ** 2
 
@@ -459,14 +460,19 @@ ANTISYMMETRIC = replace(PARAMS, omega_q=2 * math.pi * 5.1e9)  # 25.5 carrier per
 
 
 def _half_and_whole_probe(kind, duration_s, params):
-    """The mirrored propagator of the calibrated probe's first half, and the whole probe."""
+    """The whole calibrated probe's lab-frame state from |0>, composed by the mirror rule
+    from its first half's state, and the whole probe.
+
+    The state from |0> is the first column (alpha, beta) of the propagator's SU(2) form,
+    so it carries the whole propagator."""
     a = calibrate_amplitude(GateOp(kind), duration_s, params)
-    half, _, turn = qubitsim._calibration_probe(kind[0], duration_s, params)
-    alpha, beta = qubitsim._propagator(replace(half, samples=a * half.samples), params)
-    mirrored = qubitsim._unmirrored(np.array([alpha]), np.array([beta]), turn)
+    half, _, s = qubitsim._calibration_probe(kind[0], duration_s, params)
+    g, e = evolve(GROUND, replace(half, samples=a * half.samples), params).amplitudes
     whole = qubitsim._sequence_samples([GateOp(kind)], duration_s, {kind: a}, params)
     assert whole.samples.size == 2 * half.samples.size - 1
-    return np.concatenate(mirrored), whole
+    t_half = (half.samples.size - 1) // 2 * params.dt_s  # the whole probe's lab frame turns the composed e by this
+    e_whole = (np.conj(g) * e - s * g * np.conj(e)) * cmath.exp(-1j * params.omega_q * t_half)
+    return np.array([g * g + s * e * e, e_whole]), whole
 
 
 @pytest.mark.parametrize(
@@ -479,19 +485,20 @@ def test_mirrored_half_probe_is_the_whole_probes_propagator(kind, duration_s, pa
     mirrored, whole = _half_and_whole_probe(kind, duration_s, params)
     x = whole.samples
     s = -1.0 if params is ANTISYMMETRIC else 1.0
+    assert qubitsim._calibration_probe(kind[0], duration_s, params)[2] == s
     assert np.max(np.abs(x[::-1] - s * x)) <= 1e-12 * np.max(np.abs(x))
-    assert np.max(np.abs(mirrored - qubitsim._propagator(whole, params))) <= 1e-12
+    assert np.max(np.abs(mirrored - evolve(GROUND, whole, params).amplitudes)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["X", "X90"])
 def test_mirrored_half_probe_meets_the_scalar_oracle(kind):
     mirrored, whole = _half_and_whole_probe(kind, 5e-9, PARAMS)
-    g, e_lab = _rk4_oracle(GROUND, whole, PARAMS).amplitudes
-    e = e_lab * cmath.exp(1j * PARAMS.omega_q * ((whole.samples.size - 1) // 2 * PARAMS.dt_s))
-    assert np.max(np.abs(mirrored / np.linalg.norm(mirrored) - [g, e])) <= 1e-12
+    oracle = _rk4_oracle(GROUND, whole, PARAMS).amplitudes
+    assert np.max(np.abs(mirrored / np.linalg.norm(mirrored) - oracle)) <= 1e-12
 
 
-@pytest.mark.parametrize("duration_s", [5e-9, 8e-9, 60e-9])  # at 8 ns the X90 half drifts 7e-13, the whole 1.4e-12
+# at 8 ns the X90 half drifts 7e-13, the whole 1.4e-12; 5.0004 ns is off the integrator grid
+@pytest.mark.parametrize("duration_s", [5e-9, 8e-9, 60e-9, 5.0004e-9])
 @pytest.mark.parametrize("kind", ["X", "X90"])
 def test_half_probe_calibration_is_the_whole_probes(kind, duration_s):
     got = calibrate_amplitude(GateOp(kind), duration_s, PARAMS)
@@ -503,16 +510,23 @@ def test_half_probe_calibration_is_the_whole_probes(kind, duration_s):
     "duration_s, params",
     [
         (5e-9, replace(PARAMS, omega_q=2 * math.pi * 5.05e9)),
-        (5.0004e-9, PARAMS),
         (5.001e-9, replace(PARAMS, omega_q=2 * math.pi * 25 / 5.001e-9)),  # symmetric, but 5,001 steps
     ],
-    ids=["25.25-carrier-periods", "envelope-off-the-grid", "odd-step-count"],
+    ids=["25.25-carrier-periods", "odd-step-count"],
 )
 def test_probe_without_a_mirror_calibrates_whole_and_bitwise(kind, duration_s, params):
-    probe, _, turn = qubitsim._calibration_probe(kind[0], duration_s, params)
-    assert turn is None and probe.samples.size == 2 * int(round(duration_s / params.dt_s)) + 1
+    probe, _, s = qubitsim._calibration_probe(kind[0], duration_s, params)
+    assert s is None and probe.samples.size == 2 * int(round(duration_s / params.dt_s)) + 1
     got = calibrate_amplitude(GateOp(kind), duration_s, params)
     assert got.hex() == _full_probe_calibration(GateOp(kind), duration_s, params).hex()
+
+
+@pytest.mark.parametrize("duration_s", [5.0004e-9, 4.9996e-9])
+def test_off_grid_pulse_is_symmetric_and_ends_on_zero(duration_s):
+    # the pulse lasts round(duration / dt) = 5,000 steps and its Gaussian spans exactly those
+    x = synth_gate_pulse(GateOp("X"), duration_s, PARAMS, amplitude=1.0).samples
+    assert x.size == 10_001 and x[0] == 0.0 and x[-1] == 0.0
+    assert np.max(np.abs(x[::-1] - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_half_probe_calibration_keeps_the_norm_guard():
@@ -660,7 +674,7 @@ def _synthesized_quadratures(monkeypatch, model, duration_s, pairs, method="taps
     "duration_s, pairs",
     [(5e-9, DEFAULT_PAIRS), (5e-9, (("X", "Y90", "Y"),)), (5e-9, (("I", "I"),)), (60e-9, XY_PAIR),
      (5.0004e-9, (("X", "Y"),))],
-    ids=["5ns-all-pairs", "5ns-three-gates", "5ns-identity", "60ns-xy", "asymmetric-envelope"],
+    ids=["5ns-all-pairs", "5ns-three-gates", "5ns-identity", "60ns-xy", "off-grid"],
 )
 def test_drive_quadrature_from_the_basis_matches_a_fresh_transform(duration_s, pairs, monkeypatch):
     drives = _synthesized_quadratures(monkeypatch, MismatchModel(15.0, 15.0, 0.276), duration_s, pairs)
@@ -680,9 +694,10 @@ def _unit_pulse_transform(n_gates, duration_s):
     return re + 1j * im, distortion._hilbert_transform(re) + 1j * distortion._hilbert_transform(im)
 
 
-@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9, 5.0004e-9])
 def test_quadrature_basis_keeps_half_the_frame_by_its_reflection(duration_s):
-    # H[u](n_gate - j mod n) = -exp(i w_q T) conj(H[u](j)), T = n_gate ds, for the symmetric envelope
+    # H[u](n_gate - j mod n) = -exp(i w_q T) conj(H[u](j)), T = n_gate ds: the envelope spans
+    # the pulse's own samples, so it is symmetric off the integrator grid too
     u, hu = _unit_pulse_transform(2, duration_s)
     n, n_gate, ds = hu.size, (hu.size - 1) // 2, PARAMS.dt_s / 2
     turn = cmath.exp(1j * PARAMS.omega_q * ds * n_gate)
@@ -691,14 +706,6 @@ def test_quadrature_basis_keeps_half_the_frame_by_its_reflection(duration_s):
     basis = qubitsim._quadrature_basis(2, duration_s, PARAMS)
     assert basis.size == (n + 1) // 2 and not basis.flags.writeable
     np.testing.assert_array_equal(basis, hu[n_gate // 2 : n_gate // 2 + basis.size])
-
-
-def test_quadrature_basis_keeps_the_whole_frame_for_an_asymmetric_envelope():
-    # 5.0004 ns rounds to 5 ns of samples, so the envelope is not symmetric about their midpoint
-    _, hu = _unit_pulse_transform(2, 5.0004e-9)
-    basis = qubitsim._quadrature_basis(2, 5.0004e-9, PARAMS)
-    c = (hu.size - 1) // 4
-    np.testing.assert_array_equal(basis, np.roll(hu, -c))
 
 
 def test_fidelity_is_the_same_cold_warm_and_after_eviction():
