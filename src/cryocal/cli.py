@@ -268,7 +268,7 @@ def cmd_extract_loss(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[
 
 
 def _read_ecal_table(path: Path) -> UncertaintyTable:
-    """(s11_db, sigma_linear) rows; the first line is a header if its cells are not numbers.
+    """(s11_db, sigma_linear) rows; the first line is a header if none of its cells is a number.
 
     A cell is a number as ``np.loadtxt`` reads Touchstone records, not as ``float`` reads
     one: ``3_0`` and non-ASCII digits are not numbers."""
@@ -278,13 +278,20 @@ def _read_ecal_table(path: Path) -> UncertaintyTable:
         try:
             row = np.loadtxt([ln], delimiter=",", comments=None, ndmin=1).tolist()
         except ValueError:
-            if k == 0:
+            if k == 0 and not any(_is_number(cell) for cell in ln.split(",")):
                 continue
             raise ConfigError(f"{path}, line {lineno}: non-numeric cell in {ln!r}") from None
         if len(row) != 2:
             raise ConfigError(f"{path}, line {lineno}: expected two columns (s11_db,sigma_linear), got {ln!r}")
         rows.append(row)
     return _build(f"{path}: ", UncertaintyTable, *np.array(rows).reshape(-1, 2).T)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        return bool(cell.strip()) and np.loadtxt([cell], comments=None, ndmin=1).size == 1
+    except ValueError:
+        return False
 
 
 def cmd_uncertainty(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:

@@ -206,8 +206,16 @@ class PulseWaveform:
         object.__setattr__(self, "samples", _freeze(v))  # after the checks: a copy and the mask never coexist
 
     @property
+    def length(self) -> int:
+        return self.samples.size
+
+    @property
     def times(self) -> np.ndarray:
-        return self.dt_s * np.arange(self.samples.size)
+        return self.dt_s * np.arange(self.length)
+
+    def read(self, j0: int, j1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples j0 .. j1 - 1, a view; ``out``, where a :class:`TappedWaveform` sums them, is not used."""
+        return self.samples[j0:j1]
 
     @cached_property
     def _quadrature(self) -> np.ndarray:
@@ -225,28 +233,57 @@ class PulseWaveform:
         return hx
 
 
-def distort(pulse: PulseWaveform, h: ImpulseResponse) -> PulseWaveform:
+@dataclass(frozen=True)
+class TappedWaveform:
+    """:func:`distort`'s lane of ``length`` samples, summed where it is read: sample k is the sum of
+    c x[k - m] + s H[x][k - m] over the ``taps`` (m, c, s) in order, the same bits in any window."""
+
+    pulse: PulseWaveform
+    taps: tuple[tuple[int, float, float], ...]  # sample shift m, amp cos(theta), amp sin(theta)
+    length: int
+    dt_s = property(lambda self: self.pulse.dt_s)
+    times = PulseWaveform.times
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return self.read(0, self.length, np.empty(self.length))
+
+    def read(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
+        """Samples j0 .. j1 - 1 summed into ``out[:j1 - j0]``, a read-only view; raises if one is not finite."""
+        y = out[: j1 - j0]
+        y.fill(0.0)
+        x, hx = self.pulse.samples, self.pulse._quadrature
+        for m, c, s in self.taps:
+            a, b = max(j0, m), min(j1, m + x.size)
+            if a < b:
+                seg = y[a - j0 : b - j0]
+                seg += c * x[a - m : b - m]
+                seg += s * hx[a - m : b - m]
+        if not np.all(np.isfinite(y)):
+            raise DistortionError("waveform contains non-finite samples")
+        y.setflags(write=False)
+        return y
+
+
+def distort(pulse: PulseWaveform, h: ImpulseResponse) -> TappedWaveform:
     """Superpose delayed, scaled copies of the pulse per the tap ladder.
 
     Each tap delay is rounded to the nearest sample m; the residue
     eps = delay - m dt is applied as a carrier-phase rotation of that copy,
     Re((x + i H[x]) exp(-i theta)) with theta = 2 pi f eps, which keeps the
     carrier phase exact at delays the sample grid cannot represent (an
-    on-grid tap has theta = 0). The output is extended to cover the last tap.
+    on-grid tap has theta = 0). The output covers the last tap; H[x] is built
+    here, the sum only where the :class:`TappedWaveform` is read.
     """
-    x = pulse.samples
     last = max((delay for delay, _ in h.taps), default=0.0)
-    _check_sample_count(x.size + last / pulse.dt_s, DistortionError, "the distorted waveform")
-    shifts = [(int(round(delay / pulse.dt_s)), delay, amp) for delay, amp in h.taps]
-    hx = pulse._quadrature  # before the output: the transform's buffers never coexist with it
-    y = np.zeros(x.size + max((m for m, _, _ in shifts), default=0))
-    for m, delay, amp in shifts:
+    _check_sample_count(pulse.length + last / pulse.dt_s, DistortionError, "the distorted waveform")
+    taps = []
+    for delay, amp in h.taps:
+        m = int(round(delay / pulse.dt_s))
         theta = 2.0 * math.pi * pulse.carrier_hz * (delay - m * pulse.dt_s)
-        seg = y[m : m + x.size]
-        seg += (amp * math.cos(theta)) * x
-        seg += (amp * math.sin(theta)) * hx
-    y.setflags(write=False)  # built only for the waveform, which adopts it
-    return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)
+        taps.append((m, amp * math.cos(theta), amp * math.sin(theta)))
+    pulse._quadrature  # built here, before any read: every read of every tap view shares it
+    return TappedWaveform(pulse, tuple(taps), pulse.length + max((m for m, _, _ in taps), default=0))
 
 
 def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:

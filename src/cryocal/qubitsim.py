@@ -10,10 +10,11 @@ in the lab frame.
 
 The Schrodinger equation is linear, so one RK4 step is a fixed 2x2 transfer
 matrix of the drive samples at its start, midpoint and end. :func:`evolve`
-builds the matrices of all steps with array arithmetic and takes their
-time-ordered product by pairwise reduction (later @ earlier) in log2(n)
-vectorized levels, chunk by chunk so memory stays bounded; no Python code
-runs per step. A scalar RK4 loop is kept in the tests as the reference.
+reads the drive chunk by chunk, a distorted lane summed from its taps into one
+reused buffer, builds each chunk's step matrices with array arithmetic and
+multiplies them pairwise (later @ earlier) in log2(n) vectorized levels; no
+lane is built whole and no Python code runs per step. A scalar RK4 loop is
+kept in the tests as the reference.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, _hilbert_transform, distort
+from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, TappedWaveform, _hilbert_transform, distort
 from .distortion import distort_with_response, impulse_response_fourier, impulse_response_taps
 from .traces import _check_sample_count, _freeze
 
@@ -327,20 +328,21 @@ def _ordered_product(alpha, beta):
     return alpha, beta
 
 
-def _propagator(waveform: PulseWaveform, params: QubitParams) -> tuple[complex, complex]:
+def _propagator(waveform: PulseWaveform | TappedWaveform, params: QubitParams) -> tuple[complex, complex]:
     """(alpha, beta) of the interaction-picture propagator of the whole waveform,
     in the form of :func:`_compose`, before any renormalization.
 
     The equation is linear, so each RK4 step is a fixed 2x2 matrix of its
     start, midpoint and end samples and of the carrier at its midpoint
     (:func:`_rk4_step_matrices`). All step matrices of a chunk of 2**14
-    steps are built at once from the real samples and the cached carrier
+    steps are built at once from the samples the waveform's ``read`` returns
+    (a tap view sums them into one reused buffer) and the cached carrier
     table, which starts at phase 0, and multiplied pairwise (later @
     earlier) down to one matrix. The chunk's true carrier starts at
     P = exp(i w t0); with D = diag(1, P) each true step matrix is D M D^-1,
     so only the chunk product's beta is multiplied by P. The chunk products
-    are folded in time order. Steps that start after the last nonzero
-    sample see no drive and are exact identities, so they are skipped.
+    are folded in time order. Steps after the last nonzero sample, which
+    chunks read backward find, see no drive and are skipped as identities.
     The matrix scales every state's norm by sqrt(|alpha|^2 + |beta|^2), so
     that minus 1 is the raw RK4 norm drift.
     """
@@ -348,27 +350,28 @@ def _propagator(waveform: PulseWaveform, params: QubitParams) -> tuple[complex, 
         raise SimulationError(
             f"waveform dt {waveform.dt_s:.3e} s is not half the integrator step {params.dt_s:.3e} s"
         )
-    x = waveform.samples
-    n_steps = (x.size - 1) // 2
-    last = x.size - 1 - int(np.argmax(x[::-1] != 0))  # the last nonzero sample, if any
-    n_driven = min(n_steps, last // 2 + 1) if x[last] else 0
-    w = params.omega_q
-    h = params.dt_s
-
-    ds = waveform.dt_s
+    read = partial(waveform.read, out=np.empty(2 * _CHUNK + 1))
+    n = waveform.length
+    n_steps, n_driven = (n - 1) // 2, 0
+    for j0 in range((n - 1) // (2 * _CHUNK) * 2 * _CHUNK, -1, -2 * _CHUNK):  # backward to the last nonzero sample
+        nonzero = read(j0, min(n, j0 + 2 * _CHUNK))[::-1] != 0
+        if nonzero.any():
+            n_driven = min(n_steps, (j0 + nonzero.size - 1 - int(np.argmax(nonzero))) // 2 + 1)
+            break
+    w, h, ds = params.omega_q, params.dt_s, waveform.dt_s
     carrier = _carrier_table(w, ds)
     e1 = carrier[1].conjugate()
     alpha, beta = np.ones(1, complex), np.zeros(1, complex)
     for s0 in range(0, n_driven, _CHUNK):
         j0, j1 = 2 * s0, 2 * min(s0 + _CHUNK, n_driven)
-        x0, xm, x1 = x[j0 : j1 - 1 : 2], x[j0 + 1 : j1 : 2], x[j0 + 2 : j1 + 1 : 2]
-        a, b = _ordered_product(*_rk4_step_matrices(x0, xm, x1, h, carrier[1 : j1 - j0 : 2], e1))
+        x = read(j0, j1 + 1)
+        a, b = _ordered_product(*_rk4_step_matrices(x[:-1:2], x[1::2], x[2::2], h, carrier[1 : j1 - j0 : 2], e1))
         b *= cmath.exp(1j * w * (ds * j0))  # the chunk's start phase P
         alpha, beta = _compose(a, b, alpha, beta)
     return alpha[0], beta[0]
 
 
-def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> QubitState:
+def evolve(state: QubitState, waveform: PulseWaveform | TappedWaveform, params: QubitParams) -> QubitState:
     """Fixed-step RK4 propagation of the Schrodinger equation.
 
     The waveform must be sampled at half the integrator step, the grid
@@ -383,7 +386,7 @@ def evolve(state: QubitState, waveform: PulseWaveform, params: QubitParams) -> Q
     e = complex(beta * g0 + np.conj(alpha) * e0)
     norm = _norm_divisor(g, e)
     # back to the lab frame at the final time
-    t_end = (waveform.samples.size - 1) // 2 * params.dt_s
+    t_end = (waveform.length - 1) // 2 * params.dt_s
     e_lab = e * cmath.exp(-1j * params.omega_q * t_end)
     return QubitState(np.array([g, e_lab]) / norm)
 
@@ -547,16 +550,9 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
         for i, taps in enumerate(ladders):
             # the distorted lane first: a Fourier convolution's FFT buffers then overlap no H[x]
             dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
-            ref = distort(wf, ImpulseResponse(taps=taps.taps[:1])).samples
-            if i == len(ladders) - 1:
-                del wf  # with its quadrature, before the padded copy below
-            # evolve over a common horizon so lab-frame phases cancel in the overlap; the distorted
-            # lane reaches past the direct tap (to the last tap or the window), so it is never shorter
-            padded = np.pad(ref, (0, dist_wf.samples.size - ref.size))
-            padded.setflags(write=False)  # built only for the reference waveform, which adopts it
-            ref_wf = replace(dist_wf, samples=padded)
-            f = fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params))
-            out[i, j] = max(0.0, 1.0 - f)
+            # the direct tap alone, over the distorted lane's longer horizon: lab-frame phases cancel
+            ref_wf = replace(distort(wf, ImpulseResponse(taps=taps.taps[:1])), length=dist_wf.length)
+            out[i, j] = max(0.0, 1.0 - fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params)))
     return out
 
 

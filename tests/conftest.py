@@ -8,6 +8,20 @@ from hypothesis import strategies as st
 from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid
 
 
+def tap_lane(pulse, h) -> np.ndarray:
+    """The lane ``distort(pulse, h)`` stands for, summed whole into one array that covers the
+    last tap: each tap delay rounded to sample m, its copy rotated by theta = 2 pi f (delay - m dt)
+    through the pulse's H[x] and added in ladder order."""
+    x, hx = pulse.samples, pulse._quadrature
+    y = np.zeros(x.size + max((int(round(delay / pulse.dt_s)) for delay, _ in h.taps), default=0))
+    for delay, amp in h.taps:
+        m = int(round(delay / pulse.dt_s))
+        theta = 2.0 * math.pi * pulse.carrier_hz * (delay - m * pulse.dt_s)
+        y[m : m + x.size] += (amp * math.cos(theta)) * x
+        y[m : m + x.size] += (amp * math.sin(theta)) * hx
+    return y
+
+
 def aligned_grid(start_hz=1e7, step_hz=1e7, count=2650) -> FrequencyGrid:
     """Uniform grid whose start is an integer multiple of the step."""
     return FrequencyGrid(start_hz=start_hz, step_hz=step_hz, count=count)

@@ -773,6 +773,25 @@ def test_ecal_cell_outside_the_touchstone_number_grammar_is_config_error(valid, 
     assert code == 2 and f"{table}, line 3: non-numeric cell in {row!r}" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize(
+    "first", ["3_0,0.002", "s11_db,0.002", "30,sigma"], ids=["separator", "one-header-cell", "numeric-first-cell"]
+)
+def test_ecal_first_line_with_a_numeric_cell_is_a_row_not_a_header(valid, tmp_path, first):
+    # a header has no numeric cell, so a first line with one is a row, judged like any other
+    argv, cfg = valid[1]["uncertainty-trace"]
+    table = tmp_path / "ecal.csv"
+    table.write_text(f"{first}\n10,0.003\n50,0.002\n")
+    code, err = run_config(argv, dict(cfg, ecal_table=str(table)), tmp_path)
+    assert code == 2 and f"{table}, line 1: non-numeric cell in {first!r}" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("header", ["s11_db,sigma_linear", "s11_db,,sigma", "s11 db, sigma linear"])
+def test_ecal_first_line_without_a_numeric_cell_is_a_header(tmp_path, header):
+    table = tmp_path / "ecal.csv"
+    table.write_text(f"{header}\n10,0.003\n50,0.002\n")
+    assert list(_read_ecal_table(table).s11_db) == [10.0, 50.0]
+
+
 FUZZ_VALUES = (DROP, None, "x", True, [1], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 1e300, 1e-300)
 
 

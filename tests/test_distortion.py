@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cryocal.distortion import _hilbert_transform
 from cryocal.timegate import TimeTrace
 from cryocal.traces import _freeze
 
-from conftest import record_ffts
+from conftest import record_ffts, tap_lane
 
 C = 299792458.0
 
@@ -228,6 +229,50 @@ def test_distort_shares_analytic_signal_bitwise():
     shared = distort(p, taps).samples
     fresh = distort(PulseWaveform(p.dt_s, p.samples, p.carrier_hz), taps).samples
     np.testing.assert_array_equal(shared, fresh)
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [
+        ((0.0, 1.0), (500 * 1e-12, 0.25)),  # m dt exactly: theta = 0
+        impulse_response_taps(MismatchModel(12.0, 12.0, 0.3)).taps,
+        ((123.4e-12, 0.7),),
+        (),
+    ],
+    ids=["on-grid", "off-grid", "single-tap", "empty"],
+)
+def test_tap_view_is_the_summed_lane_bit_for_bit(taps):
+    p, h = carrier_pulse(), ImpulseResponse(taps=taps)
+    view = distort(p, h)
+    want = tap_lane(p, h)
+    assert view.length == want.size and view.samples.tobytes() == want.tobytes()
+    assert not view.samples.flags.writeable and view.dt_s == p.dt_s
+    np.testing.assert_array_equal(view.times, p.dt_s * np.arange(want.size))
+    buf = np.full(1200, np.nan)
+    for j0, j1 in [(0, 1), (0, 1200), (499, 1500), (3900, 4001), (want.size - 7, want.size)]:
+        assert view.read(j0, j1, buf).tobytes() == want[j0:j1].tobytes(), (j0, j1)
+    padded = replace(view, length=want.size + 10).samples
+    assert padded[: want.size].tobytes() == want.tobytes() and not np.any(padded[want.size :])
+
+
+def test_non_finite_tap_lane_raises_wherever_it_is_first_read():
+    # 1e10 x 1e300 overflows at one sample only; each path that first reads it raises the
+    # message an array waveform's constructor raises
+    x = np.zeros(1001)
+    x[500] = 1e300
+    p, h = PulseWaveform(1e-12, x, 5e9), ImpulseResponse(taps=((0.0, 1e10),))
+    message = "^waveform contains non-finite samples$"
+    with np.errstate(over="ignore"):
+        view = distort(p, h)
+        assert not np.any(view.read(0, 500, np.empty(500)))
+        with pytest.raises(DistortionError, match=message):
+            view.read(400, 600, np.empty(200))
+        with pytest.raises(DistortionError, match=message):
+            view.samples
+        with pytest.raises(DistortionError, match=message):
+            qubitsim.evolve(qubitsim.GROUND, view, QubitParams(dt_s=2e-12))
+        with pytest.raises(DistortionError, match=message):
+            PulseWaveform(p.dt_s, tap_lane(p, h), p.carrier_hz)
 
 
 def test_distort_with_response_matches_taps():

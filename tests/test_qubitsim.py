@@ -29,10 +29,10 @@ from cryocal import (
     synth_gate_pulse,
 )
 from cryocal import distortion, qubitsim
-from cryocal.distortion import distort, distort_with_response, impulse_response_fourier, impulse_response_taps
+from cryocal.distortion import ImpulseResponse, distort, distort_with_response, impulse_response_fourier, impulse_response_taps
 from cryocal.qubitsim import GROUND
 
-from conftest import record_ffts
+from conftest import record_ffts, tap_lane
 
 PARAMS = QubitParams()
 EXCITED = QubitState(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
@@ -743,21 +743,121 @@ def test_replaced_or_hand_built_waveform_runs_its_own_transform(monkeypatch):
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
 def test_run_allxy_waveforms_adopt_the_arrays_built_for_them(method, monkeypatch):
-    # gate synthesis, calibration probes, distort and the padded reference
-    # build each array only for its waveform; only the Fourier convolution
-    # hands over a view of its FFT buffer, which must be copied
-    adopted = []
+    # gate synthesis and the calibration probes build each array only for its waveform; only
+    # the Fourier convolution hands over a view of its FFT buffer, which must be copied. A tap
+    # lane and the reference lane are no array at all: each is a tap view, read chunk by chunk
+    frozen = []
     freeze = distortion._freeze
 
     def spy(a, dtype=None):
         out = freeze(a, dtype)
-        adopted.append(out is a)
+        frozen.append((out is a, out.size))
         return out
 
     monkeypatch.setattr(distortion, "_freeze", spy)
     pairs = (("X", "Y"), ("Y90", "X"))
     run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, method=method)
-    assert adopted.count(False) == (len(pairs) if method == "fourier" else 0) and adopted.count(True) > 10
+    drive = 20_001  # samples of a 5 ns pair's drive; every lane is longer
+    copied = [size for adopted, size in frozen if not adopted]
+    assert len(copied) == (len(pairs) if method == "fourier" else 0) and all(size > drive for size in copied)
+    adopted = [size for ok, size in frozen if ok]
+    assert len(adopted) > 10 and max(adopted) == drive
+
+
+def _padded_lane_deviations(model, duration_s, pairs, method):
+    """run_allxy's 1-F by the path it replaced: each lane an array (the taps summed whole by
+    conftest.tap_lane, or convolved), the reference lane padded to the distorted lane's length
+    by np.pad, and both evolved as sampled waveforms."""
+    amplitudes = qubitsim.calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, PARAMS)
+    taps = impulse_response_taps(model)
+    out = []
+    for pair in pairs:
+        wf = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS, quadrature=True)
+        if method == "fourier":
+            window = model.transit_s + (model.max_reflections + 3) * model.spacing_s  # the window run_allxy uses
+            dist = distort_with_response(wf, impulse_response_fourier(model, 1.0 / PARAMS.dt_s, window)).samples
+        else:
+            dist = tap_lane(wf, taps)
+        ref = tap_lane(wf, ImpulseResponse(taps.taps[:1]))
+        lanes = [PulseWaveform(wf.dt_s, lane, wf.carrier_hz) for lane in (np.pad(ref, (0, dist.size - ref.size)), dist)]
+        out.append(max(0.0, 1.0 - fidelity(*(evolve(GROUND, lane, PARAMS) for lane in lanes))))
+    return out
+
+
+def _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method):
+    got = run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
+    want = _padded_lane_deviations(model, duration_s, pairs, method)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    return got
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+@pytest.mark.parametrize("length_m", [0.270, 0.274, 0.278, 0.282])
+def test_60ns_run_allxy_is_bitwise_the_padded_lane_path(length_m, method):
+    for rl in (10.0, 12.0, 16.0, 18.0):
+        _assert_bitwise_as_the_padded_lane_path(MismatchModel(rl, rl, length_m), 60e-9, XY_PAIR, method)
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+@pytest.mark.parametrize(
+    "model, duration_s, pairs",
+    [
+        (MismatchModel(15.0, 15.0, 0.276), 5e-9, DEFAULT_PAIRS),
+        (MismatchModel(15.0, 15.0, 0.276), 5e-9, (("I", "I"),)),
+        (MismatchModel(15.0, 15.0, 0.276), 5.0004e-9, DEFAULT_PAIRS[:7]),
+        (MismatchModel(15.0, 15.0, 0.3, v_p=2e8), 5e-9, DEFAULT_PAIRS[:7]),
+        (MismatchModel(15.0, 15.0, 0.2, v_p=2e8), 5e-9, DEFAULT_PAIRS[:7]),
+    ],
+    ids=["5ns-all-pairs", "identity", "off-grid", "every-tap-on-grid", "direct-tap-on-grid"],
+)
+def test_run_allxy_is_bitwise_the_padded_lane_path(model, duration_s, pairs, method):
+    got = _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method)
+    assert (pairs == (("I", "I"),)) == (got == [0.0])
+
+
+def test_on_grid_lanes_end_on_zero_samples():
+    # with every tap on the grid no carrier rotation reaches past the pulse, whose envelope ends
+    # on 0.0, so the evolved lanes end on zero samples and the last-driven-step rule decides
+    amps = qubitsim.calibrated_amplitudes(["X", "Y"], 5e-9, PARAMS)
+    wf = qubitsim._sequence_samples([GateOp("X"), GateOp("Y")], 5e-9, amps, PARAMS, quadrature=True)
+    taps = impulse_response_taps(MismatchModel(15.0, 15.0, 0.3, v_p=2e8))
+    for lane in (distort(wf, taps), distort(wf, ImpulseResponse(taps.taps[:1]))):
+        assert lane.samples[-1] == 0.0 and lane.samples[-2] != 0.0
+
+
+def test_warm_run_allxy_builds_no_tap_lane(monkeypatch):
+    model = MismatchModel(15.0, 15.0, 0.276)
+    for method in ("taps", "fourier"):
+        run_allxy(model, 60e-9, PARAMS, method=method)
+    built = []
+    whole = distortion.TappedWaveform.samples.func
+
+    def spy(self):
+        built.append(self.length)
+        return whole(self)
+
+    monkeypatch.setattr(distortion.TappedWaveform, "samples", property(spy))
+    for method in ("taps", "fourier"):
+        run_allxy(model, 60e-9, PARAMS, method=method)
+    assert built == []
+    wf = qubitsim._sequence_samples([GateOp("X")], 5e-9, {"X": 1e9}, PARAMS)
+    distort(wf, impulse_response_taps(model)).samples  # the spy sees a read
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("method, bound", [("taps", 6.3e6), ("fourier", 8.9e6)])
+def test_warm_60ns_run_allxy_traced_peak(method, bound):
+    # measured 5.76 MB (taps) and 8.40 MB (Fourier), numpy 2.4, and pinned 0.5 MB above; one
+    # whole 60 ns lane (2.1 MB) more breaks either bound
+    model = MismatchModel(15.0, 15.0, 0.276)
+    run_allxy(model, 60e-9, PARAMS, method=method)
+    tracemalloc.start()
+    try:
+        run_allxy(model, 60e-9, PARAMS, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
