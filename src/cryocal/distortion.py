@@ -5,7 +5,9 @@ pulse into a ladder of delayed ghost copies. Two equivalent constructions
 are provided: an explicit tap ladder (delays L(2k+1)/v_p, geometric
 amplitudes) and the inverse transform of the section's complex transmission
 function. Waveform distortion is the convolution of the drive with either
-response.
+response: the ladder's as a tap view summed where it is read, the sampled
+response's by FFT, over the whole drive or, for a drive qubitsim
+synthesized, per gate shape.
 """
 from __future__ import annotations
 
@@ -120,7 +122,8 @@ def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: fl
     f = df * np.arange(n_half + 1)
     r2 = model.alpha * model.beta
     w = 2.0 * math.pi * f
-    s21 = np.exp(-1j * w * tau0) / (1.0 - r2 * np.exp(-2j * w * tau0))
+    delay = np.exp(-1j * w * tau0)
+    s21 = delay / (1.0 - r2 * (delay * delay))
     h = np.fft.irfft(s21, n=n_full)
     return TimeTrace(dt_s=1.0 / (2.0 * f_max_hz), values=h)
 
@@ -293,11 +296,20 @@ def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
     every :class:`TimeTrace` does. Because the sampled response is the
     band-limited image of the tap ladder, plain sample-by-sample convolution
     reproduces fractional tap delays automatically. It is one real FFT product at a fast length.
+
+    A drive that qubitsim synthesized for a fidelity run carries a
+    ``_convolution_source``, which convolves its gate shape's cached one-gate
+    spectra with h and adds one shifted copy per gate, so no FFT spans the
+    whole drive. It is not a field, so any other waveform, one made by
+    ``dataclasses.replace`` included, runs the whole-drive FFT.
     """
     if abs(h.dt_s - pulse.dt_s) > 1e-15 * pulse.dt_s:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
+    source = vars(pulse).get("_convolution_source")
+    if source is not None:
+        return PulseWaveform(pulse.dt_s, source(np.real(h.values)), pulse.carrier_hz)
     n = pulse.samples.size + h.values.size - 1
     size = _fast_len(n)
     y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]

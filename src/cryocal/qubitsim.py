@@ -25,8 +25,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, TappedWaveform, _hilbert_transform, distort
-from .distortion import distort_with_response, impulse_response_fourier, impulse_response_taps
+from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, TappedWaveform, _fast_len, _hilbert_transform
+from .distortion import distort, distort_with_response, impulse_response_fourier, impulse_response_taps
 from .traces import _check_sample_count, _freeze
 
 
@@ -157,7 +157,8 @@ def _sequence_samples(
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
     large argument. With ``quadrature`` the waveform's H[x] is summed from
     the gate shape's cached basis (:func:`_quadrature_basis`), which is
-    built, if it must be, before the drive exists.
+    built, if it must be, before the drive exists, and its convolution with a
+    sampled response from the gate's cached spectra (:func:`_shape_convolution`).
     """
     _fidelity_request(duration_s, params)  # judges the duration
     ds = params.dt_s / 2.0
@@ -182,12 +183,15 @@ def _sequence_samples(
     if basis is not None:  # gate i is Re(a_i u) shifted by i n_gate, a_i = amp e^(i (w_q ds i n_gate + phi))
         w = params.omega_q
         shifted = [
-            (i * n_gate + n_gate // 2, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * (i * n_gate)) + g.phase_rad)))
+            (i * n_gate, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * (i * n_gate)) + g.phase_rad)))
             for i, g in enumerate(gates)
             if g.kind != "I"
         ]
         turn = cmath.exp(1j * w * (ds * n_gate))
-        object.__setattr__(wf, "_quadrature_source", partial(_basis_quadrature, basis, x.size, shifted, turn))
+        mids = [(p + n_gate // 2, a) for p, a in shifted]
+        object.__setattr__(wf, "_quadrature_source", partial(_basis_quadrature, basis, x.size, mids, turn))
+        convolution = partial(_shape_convolution, duration_s, params, n_gate, shifted, x.size)
+        object.__setattr__(wf, "_convolution_source", convolution)
     return wf
 
 
@@ -236,6 +240,41 @@ def _add_circular(out: np.ndarray, start: int, values: np.ndarray) -> None:
     k = min(values.size, out.size - start)
     out[start : start + k] += values[:k]
     out[: values.size - k] += values[k:]
+
+
+@lru_cache(maxsize=2)
+def _gate_spectra(duration_s: float, params: QubitParams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real FFTs at ``size`` of the one-gate frames Re u and Im u, u[b] = env[b] exp(i w_q ds b),
+    b = 0 .. n_gate, read-only: a unit X gate and a -1 scaled Y gate, as in :func:`_quadrature_basis`."""
+    spectra = []
+    for gate, amp in (("X", 1.0), ("Y", -1.0)):  # cos(w t + pi/2) = -sin(w t)
+        spec = np.fft.rfft(_sequence_samples([GateOp(gate)], duration_s, {gate: amp}, params).samples, size)
+        spec.setflags(write=False)
+        spectra.append(spec)
+    return spectra[0], spectra[1]
+
+
+def _shape_convolution(
+    duration_s: float, params: QubitParams, n_gate: int, shifted, n: int, h: np.ndarray
+) -> np.ndarray:
+    """x * h for the n-sample drive x = sum of Re(a u) shifted by p, for each (p, a) in ``shifted``, read-only.
+
+    h is real and Re(a u) = Re(a) Re(u) + Re(i a) Im(u), so the drive's convolution is a
+    sum of shifted, scaled copies of two one-gate convolutions, Re u * h and Im u * h, each
+    one FFT product with :func:`_gate_spectra` at a fast length that holds its
+    n_gate + h.size samples without wrapping.
+    """
+    m = n_gate + h.size  # samples of one gate's convolution
+    size = _fast_len(m)
+    spec_h = np.fft.rfft(h, size)
+    y = np.zeros(n + h.size - 1)
+    for spec, z in zip(_gate_spectra(duration_s, params, size), (1.0, 1j)):
+        lane = np.fft.irfft(spec * spec_h, size)[:m]
+        for p, a in shifted:
+            y[p : p + m] += (z * a).real * lane
+        del lane  # the next product and its transform then overlap no lane
+    y.setflags(write=False)  # built only for the waveform, which adopts it
+    return y
 
 
 def synth_gate_pulse(gate: GateOp, duration_s: float, params: QubitParams, amplitude: float | None = None) -> PulseWaveform:
@@ -371,7 +410,9 @@ def _propagator(waveform: PulseWaveform | TappedWaveform, params: QubitParams) -
     return alpha[0], beta[0]
 
 
-def evolve(state: QubitState, waveform: PulseWaveform | TappedWaveform, params: QubitParams) -> QubitState:
+def evolve(
+    state: QubitState, waveform: PulseWaveform | TappedWaveform, params: QubitParams, *, _mirror: float | None = None
+) -> QubitState:
     """Fixed-step RK4 propagation of the Schrodinger equation.
 
     The waveform must be sampled at half the integrator step, the grid
@@ -379,16 +420,22 @@ def evolve(state: QubitState, waveform: PulseWaveform | TappedWaveform, params: 
     reads its start, midpoint and end samples. The propagator of all steps
     (:func:`_propagator`) is applied to the input state once. Raises if the
     norm drifts by more than 1e-6 and renormalizes a drift above 1e-12.
+
+    With ``_mirror`` = s, a ground ``state`` and the first half of a mirrored
+    calibration probe, it returns the whole probe's state, composed from the
+    half's raw one (:func:`calibrate_amplitude`); the norm rules judge the whole.
     """
     alpha, beta = _propagator(waveform, params)
     g0, e0 = state.amplitudes
     g = complex(alpha * g0 - np.conj(beta) * e0)
     e = complex(beta * g0 + np.conj(alpha) * e0)
-    norm = _norm_divisor(g, e)
     # back to the lab frame at the final time
     t_end = (waveform.length - 1) // 2 * params.dt_s
     e_lab = e * cmath.exp(-1j * params.omega_q * t_end)
-    return QubitState(np.array([g, e_lab]) / norm)
+    if _mirror is not None:
+        g, e = g * g + _mirror * e_lab * e_lab, g.conjugate() * e_lab - _mirror * g * e_lab.conjugate()
+        return QubitState(np.array([g, e]) / _norm_divisor(g, e))
+    return QubitState(np.array([g, e_lab]) / _norm_divisor(g, e))
 
 
 def _norm_divisor(g: complex, e: complex) -> float:
@@ -437,11 +484,10 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     A probe with a mirror sign s is evolved over its first half only. The second
     half's steps read the first's samples reversed and scaled by s, so each keeps
     its mirror's alpha and has -s conj(beta / cm) (:func:`_rk4_step_matrices`), and
-    from the half's state (g, e) the whole probe's is (g^2 + s e^2, conj(g) e -
-    s g conj(e)), e up to a phase exp(i w_q T/2) that no residual reads.
-    :func:`evolve`'s norm rules are applied to it; a half that :func:`evolve`
-    renormalized hides its raw drift, so such a probe raises only where its half
-    drifts by more than 1e-6, about 2e-6 for the whole. Any other probe is evolved whole.
+    from the half's raw lab-frame state (g, e) the whole probe's is (g^2 + s e^2,
+    conj(g) e - s g conj(e)), e up to a phase exp(i w_q T/2) that no residual reads.
+    :func:`evolve` composes it and applies its norm rules to the whole, so the
+    whole's drift, about twice the half's, decides. Any other probe is evolved whole.
     """
     if gate.kind == "I":
         raise SimulationError("identity gate needs no amplitude calibration")
@@ -454,10 +500,7 @@ def calibrate_amplitude(gate: GateOp, duration_s: float, params: QubitParams) ->
     def residual(a):
         samples = a * probe.samples
         samples.setflags(write=False)  # built only for the probe waveform, which adopts it
-        g, e = evolve(GROUND, replace(probe, samples=samples), params).amplitudes
-        if s is not None:  # the whole probe's state
-            g, e = g * g + s * e * e, g.conjugate() * e - s * g * e.conjugate()
-            g, e = np.array([g, e]) / _norm_divisor(g, e)
+        g, e = evolve(GROUND, replace(probe, samples=samples), params, _mirror=s).amplitudes
         return g if is_pi else abs(e) ** 2 - target
 
     lo, hi = (0.5 * est, 1.5 * est) if is_pi else (0.2 * est, 1.6 * est)
@@ -532,8 +575,9 @@ def run_allxy(
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
     drive is synthesized once, so every model shares its quadrature H[x], which is summed from
-    the gate shape's cached basis: a warm call runs no Hilbert transform. The first pair's basis
-    is built, if it must be, before anything else: its transforms then overlap no calibration probe."""
+    the gate shape's cached basis: a warm call runs no Hilbert transform. A Fourier lane is summed
+    from the gate's cached spectra, so no FFT spans a whole drive. The first pair's basis is
+    built, if it must be, before anything else: its transforms then overlap no calibration probe."""
     sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:

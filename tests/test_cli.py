@@ -339,6 +339,14 @@ def test_pulse_synth(tmp_path):
     assert len(lines) == 10002  # 5 ns at dt/2 = 0.5 ps plus endpoint and header
 
 
+def test_pulse_synth_whose_calibration_drifts_exits_4(tmp_path, capsys):
+    # a 2.5 ns pi probe at a 10 ps step drifts by 1.8e-6 over the whole probe, 0.9e-6 over its half
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"qubit": {"dt_ps": 10}, "gate": "X", "duration_ns": 2.5}))
+    assert run(["pulse", "synth", "--config", cfg, "--out", tmp_path / "o"]) == 4
+    assert "norm drift 1.824e-06 exceeds 1e-6" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{broken")
