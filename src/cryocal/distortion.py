@@ -6,8 +6,7 @@ are provided: an explicit tap ladder (delays L(2k+1)/v_p, geometric
 amplitudes) and the inverse transform of the section's complex transmission
 function. Waveform distortion is the convolution of the drive with either
 response: the ladder's as a tap view summed where it is read, the sampled
-response's by FFT, over the whole drive or, for a drive qubitsim
-synthesized, per gate shape.
+response's by FFT over the whole drive.
 """
 from __future__ import annotations
 
@@ -222,16 +221,11 @@ class PulseWaveform:
 
     @cached_property
     def _quadrature(self) -> np.ndarray:
-        """H[x] of the samples, built once per waveform and shared by every
-        :func:`distort` of it (a tap ladder and its direct tap).
-
-        A drive that qubitsim synthesized for a fidelity run carries a
-        ``_quadrature_source``, which sums H[x] from its gate shape's cached
-        basis without an FFT. It is not a field, so any other waveform, one
-        made by ``dataclasses.replace`` included, runs :func:`_hilbert_transform`.
-        """
-        source = vars(self).pop("_quadrature_source", None)
-        hx = _hilbert_transform(self.samples) if source is None else source()
+        """H[x] of the samples, read-only, built once per waveform and shared by every
+        :func:`distort` of it and every read of its tap views. Where H[x] is known
+        another way, it may be stored in this cached property's slot before the
+        first :func:`distort`."""
+        hx = _hilbert_transform(self.samples)
         hx.setflags(write=False)
         return hx
 
@@ -295,21 +289,13 @@ def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
     Requires matching sample intervals; the response starts at t = 0, as
     every :class:`TimeTrace` does. Because the sampled response is the
     band-limited image of the tap ladder, plain sample-by-sample convolution
-    reproduces fractional tap delays automatically. It is one real FFT product at a fast length.
-
-    A drive that qubitsim synthesized for a fidelity run carries a
-    ``_convolution_source``, which convolves its gate shape's cached one-gate
-    spectra with h and adds one shifted copy per gate, so no FFT spans the
-    whole drive. It is not a field, so any other waveform, one made by
-    ``dataclasses.replace`` included, runs the whole-drive FFT.
+    reproduces fractional tap delays automatically. It is one real FFT
+    product over the whole drive at a fast length.
     """
     if abs(h.dt_s - pulse.dt_s) > 1e-15 * pulse.dt_s:
         raise DistortionError(
             f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
         )
-    source = vars(pulse).get("_convolution_source")
-    if source is not None:
-        return PulseWaveform(pulse.dt_s, source(np.real(h.values)), pulse.carrier_hz)
     n = pulse.samples.size + h.values.size - 1
     size = _fast_len(n)
     y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]

@@ -25,8 +25,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .distortion import ImpulseResponse, MismatchModel, PulseWaveform, TappedWaveform, _fast_len, _hilbert_transform
-from .distortion import distort, distort_with_response, impulse_response_fourier, impulse_response_taps
+from .distortion import MismatchModel, PulseWaveform, TappedWaveform, _fast_len, _hilbert_transform
+from .distortion import distort, impulse_response_fourier, impulse_response_taps
 from .traces import _check_sample_count, _freeze
 
 
@@ -142,30 +142,20 @@ def _truncated_gaussian_envelope(t: np.ndarray, duration: float) -> np.ndarray:
     return np.maximum(env, 0.0, out=env)
 
 
-def _sequence_samples(
-    gates: list[GateOp],
-    duration_s: float,
-    amplitudes: dict[str, float],
-    params: QubitParams,
-    quadrature: bool = False,
-) -> PulseWaveform:
+def _sequence_samples(gates: list[GateOp], duration_s: float, amplitudes: dict[str, float], params: QubitParams) -> PulseWaveform:
     """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier.
 
     Every gate lasts round(duration/dt) steps under one symmetric envelope, a
     Gaussian spanning exactly those steps. Its carrier cos(w_q t + phi) is built in
     blocks of the carrier table's length: from block start t_b on it is
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
-    large argument. With ``quadrature`` the waveform's H[x] is summed from
-    the gate shape's cached basis (:func:`_quadrature_basis`), which is
-    built, if it must be, before the drive exists, and its convolution with a
-    sampled response from the gate's cached spectra (:func:`_shape_convolution`).
+    large argument.
     """
     _fidelity_request(duration_s, params)  # judges the duration
     ds = params.dt_s / 2.0
     steps = duration_s / params.dt_s  # per gate
     _check_sample_count(2.0 * steps * len(gates), SimulationError, "the drive")
     n_gate = int(round(steps)) * 2  # samples per gate
-    basis = _quadrature_basis(len(gates), duration_s, params) if quadrature else None
     x = np.zeros(n_gate * len(gates) + 1)
     env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), ds * n_gate)
     table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
@@ -179,20 +169,15 @@ def _sequence_samples(
             psi = params.omega_q * (ds * j0) + gate.phase_rad
             x[j0 : j0 + c.size] += (amp * env[b : b + c.size]) * (math.cos(psi) * c.real - math.sin(psi) * c.imag)
     x.setflags(write=False)  # built only for the waveform, which adopts it
-    wf = PulseWaveform(ds, x, params.f_q)
-    if basis is not None:  # gate i is Re(a_i u) shifted by i n_gate, a_i = amp e^(i (w_q ds i n_gate + phi))
-        w = params.omega_q
-        shifted = [
-            (i * n_gate, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * (i * n_gate)) + g.phase_rad)))
-            for i, g in enumerate(gates)
-            if g.kind != "I"
-        ]
-        turn = cmath.exp(1j * w * (ds * n_gate))
-        mids = [(p + n_gate // 2, a) for p, a in shifted]
-        object.__setattr__(wf, "_quadrature_source", partial(_basis_quadrature, basis, x.size, mids, turn))
-        convolution = partial(_shape_convolution, duration_s, params, n_gate, shifted, x.size)
-        object.__setattr__(wf, "_convolution_source", convolution)
-    return wf
+    return PulseWaveform(ds, x, params.f_q)
+
+
+def _unit_gate(gate: str, n_gates: int, duration_s: float, params: QubitParams) -> np.ndarray:
+    """The frame Re u ("X") or Im u ("Y") of the unit gate pulse u[b] = env[b] exp(i w_q ds b),
+    b = 0 .. n_gate, leading an ``n_gates``-gate sequence: a unit X gate, or a Y gate scaled by
+    -1, as cos(w t + pi/2) = -sin(w t)."""
+    rest = [GateOp("I")] * (n_gates - 1)
+    return _sequence_samples([GateOp(gate), *rest], duration_s, {gate: 1.0 if gate == "X" else -1.0}, params).samples
 
 
 @lru_cache(maxsize=2)
@@ -203,15 +188,14 @@ def _quadrature_basis(n_gates: int, duration_s: float, params: QubitParams) -> n
 
     Each gate is Re(a u) with a complex a, shifted by a multiple of n_gate, and the
     circular H is real-linear and commutes with circular shifts, so a drive's H[x] is a
-    sum of shifted copies of Re(a H[u]) (:func:`_basis_quadrature`). Re u and Im u are the
-    frames of a unit X gate and a -1 scaled Y gate, each transformed once. The envelope
-    is symmetric, so u(n_gate - b) = t conj(u(b)), t = exp(i w_q ds n_gate), and H is odd
-    under that reflection: H[u](c - d) = -t conj(H[u](c + d)), so half the frame holds H[u].
+    sum of shifted copies of Re(a H[u]) (:func:`_basis_quadrature`). Re u and Im u
+    (:func:`_unit_gate`) are each transformed once. The envelope is symmetric, so
+    u(n_gate - b) = t conj(u(b)), t = exp(i w_q ds n_gate), and H is odd under that
+    reflection: H[u](c - d) = -t conj(H[u](c + d)), so half the frame holds H[u].
     """
-    rest = [GateOp("I")] * (n_gates - 1)
     parts = []
-    for gate, amp in (("X", 1.0), ("Y", -1.0)):  # cos(w t + pi/2) = -sin(w t)
-        hu = _hilbert_transform(_sequence_samples([GateOp(gate), *rest], duration_s, {gate: amp}, params).samples)
+    for gate in "XY":
+        hu = _hilbert_transform(_unit_gate(gate, n_gates, duration_s, params))
         c, keep = (hu.size - 1) // n_gates // 2, (hu.size + 1) // 2
         parts.append(hu[c : c + keep].copy())  # frame samples c .. c + keep - 1
         del hu
@@ -221,16 +205,18 @@ def _quadrature_basis(n_gates: int, duration_s: float, params: QubitParams) -> n
     return basis
 
 
-def _basis_quadrature(basis: np.ndarray, n: int, shifted, turn: complex) -> np.ndarray:
-    """H[x] of a drive x = sum of Re(a u) with u's midpoint at frame sample p, for each
-    (p, a) in ``shifted``, from :func:`_quadrature_basis`'s ``basis`` and ``turn`` = t."""
+def _basis_quadrature(basis: np.ndarray, n: int, n_gate: int, placed, turn: complex) -> np.ndarray:
+    """H[x] of the n-sample drive x = sum of Re(a u) with u starting at frame sample p, for each
+    (p, a) in ``placed``, from :func:`_quadrature_basis`'s ``basis`` and ``turn`` = t, read-only."""
     hx = np.zeros(n)
     back = n - basis.size  # samples before each midpoint, read from the reflection
     mirror = basis[back:0:-1]
-    for p, a in shifted:
+    for p, a in placed:
+        p += n_gate // 2  # the pulse's midpoint c, where the basis starts
         _add_circular(hx, p, a.real * basis.real - a.imag * basis.imag)
         r = -a * turn  # Re(a H[u](c - d)) = Re(-a t conj(H[u](c + d)))
         _add_circular(hx, p - back, r.real * mirror.real + r.imag * mirror.imag)
+    hx.setflags(write=False)  # built only for the drive's quadrature
     return hx
 
 
@@ -244,20 +230,17 @@ def _add_circular(out: np.ndarray, start: int, values: np.ndarray) -> None:
 
 @lru_cache(maxsize=2)
 def _gate_spectra(duration_s: float, params: QubitParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real FFTs at ``size`` of the one-gate frames Re u and Im u, u[b] = env[b] exp(i w_q ds b),
-    b = 0 .. n_gate, read-only: a unit X gate and a -1 scaled Y gate, as in :func:`_quadrature_basis`."""
-    spectra = []
-    for gate, amp in (("X", 1.0), ("Y", -1.0)):  # cos(w t + pi/2) = -sin(w t)
-        spec = np.fft.rfft(_sequence_samples([GateOp(gate)], duration_s, {gate: amp}, params).samples, size)
+    """Real FFTs at ``size`` of the one-gate frames Re u and Im u (:func:`_unit_gate`), read-only."""
+    spectra = tuple(np.fft.rfft(_unit_gate(gate, 1, duration_s, params), size) for gate in "XY")
+    for spec in spectra:
         spec.setflags(write=False)
-        spectra.append(spec)
-    return spectra[0], spectra[1]
+    return spectra
 
 
 def _shape_convolution(
-    duration_s: float, params: QubitParams, n_gate: int, shifted, n: int, h: np.ndarray
+    duration_s: float, params: QubitParams, n_gate: int, placed, n: int, h: np.ndarray
 ) -> np.ndarray:
-    """x * h for the n-sample drive x = sum of Re(a u) shifted by p, for each (p, a) in ``shifted``, read-only.
+    """x * h for the n-sample drive x = sum of Re(a u) starting at p, for each (p, a) in ``placed``, read-only.
 
     h is real and Re(a u) = Re(a) Re(u) + Re(i a) Im(u), so the drive's convolution is a
     sum of shifted, scaled copies of two one-gate convolutions, Re u * h and Im u * h, each
@@ -270,7 +253,7 @@ def _shape_convolution(
     y = np.zeros(n + h.size - 1)
     for spec, z in zip(_gate_spectra(duration_s, params, size), (1.0, 1j)):
         lane = np.fft.irfft(spec * spec_h, size)[:m]
-        for p, a in shifted:
+        for p, a in placed:
             y[p : p + m] += (z * a).real * lane
         del lane  # the next product and its transform then overlap no lane
     y.setflags(write=False)  # built only for the waveform, which adopts it
@@ -574,10 +557,11 @@ def run_allxy(
 
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
-    drive is synthesized once, so every model shares its quadrature H[x], which is summed from
-    the gate shape's cached basis: a warm call runs no Hilbert transform. A Fourier lane is summed
-    from the gate's cached spectra, so no FFT spans a whole drive. The first pair's basis is
-    built, if it must be, before anything else: its transforms then overlap no calibration probe."""
+    drive is synthesized once as placed copies of one gate shape, so its Fourier lanes sum the gate's
+    cached spectra and its H[x], stored in the drive's quadrature cache for every model's tap view,
+    sums the cached basis: no FFT spans a whole drive and a warm call runs no Hilbert transform.
+    The order bounds the peak: the first pair's basis before calibration, each basis before its
+    drive, and H[x] after the pair's first Fourier lane, so no two of their buffers overlap."""
     sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:
@@ -588,14 +572,25 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     responses = None
     if method == "fourier":  # the waveform is sampled at dt/2, so f_max = 1/dt
         windows = [m.transit_s + (m.max_reflections + 3) * m.spacing_s for m in models]
-        responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w) for m, w in zip(models, windows)]
+        responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w).values for m, w in zip(models, windows)]
+    w, ds = params.omega_q, params.dt_s / 2.0
+    n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate, as _sequence_samples places them
+    turn = cmath.exp(1j * w * (ds * n_gate))
     for j, gates in enumerate(sequences):
-        wf = _sequence_samples(gates, duration_s, amplitudes, params, quadrature=True)
-        for i, taps in enumerate(ladders):
-            # the distorted lane first: a Fourier convolution's FFT buffers then overlap no H[x]
-            dist_wf = distort_with_response(wf, responses[i]) if responses else distort(wf, taps)
+        basis = _quadrature_basis(len(gates), duration_s, params)
+        wf = _sequence_samples(gates, duration_s, amplitudes, params)
+        # gate i is Re(a_i u) starting at sample p_i = i n_gate, a_i = amp e^(i (w_q ds p_i + phi))
+        placed = [(i * n_gate, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * (i * n_gate)) + g.phase_rad)))
+                  for i, g in enumerate(gates) if g.kind != "I"]
+        for i, ladder in enumerate(ladders):
+            if responses:
+                lane = _shape_convolution(duration_s, params, n_gate, placed, wf.length, responses[i])
+            if i == 0:
+                vars(wf)["_quadrature"] = _basis_quadrature(basis, wf.length, n_gate, placed, turn)
+            view = distort(wf, ladder)
+            dist_wf = PulseWaveform(ds, lane, wf.carrier_hz) if responses else view
             # the direct tap alone, over the distorted lane's longer horizon: lab-frame phases cancel
-            ref_wf = replace(distort(wf, ImpulseResponse(taps=taps.taps[:1])), length=dist_wf.length)
+            ref_wf = replace(view, taps=view.taps[:1], length=dist_wf.length)
             out[i, j] = max(0.0, 1.0 - fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params)))
     return out
 

@@ -692,17 +692,18 @@ def test_warm_60ns_run_allxy_runs_no_fft_at_the_hilbert_length(monkeypatch):
     assert size < n + n_h - 1
 
 
-def _synthesized_quadratures(monkeypatch, model, duration_s, pairs, method="taps"):
-    """(samples, quadrature) of every drive that run_allxy distorts."""
+def _synthesized_drives(monkeypatch, model, duration_s, pairs, method="taps"):
+    """run_allxy's 1-F and every drive it distorts, once each and in order, each carrying
+    in its quadrature cache the H[x] it was distorted with."""
     seen = {}
 
     def spy(pulse, h):
-        seen[id(pulse)] = (pulse, pulse._quadrature)  # holding the pulse keeps its id unique
+        seen[id(pulse)] = pulse  # holding the pulse keeps its id unique
         return distort(pulse, h)
 
     monkeypatch.setattr(qubitsim, "distort", spy)
-    run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
-    return [(pulse.samples, hx) for pulse, hx in seen.values()]
+    got = run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
+    return got, list(seen.values())
 
 
 @pytest.mark.parametrize(
@@ -712,9 +713,9 @@ def _synthesized_quadratures(monkeypatch, model, duration_s, pairs, method="taps
     ids=["5ns-all-pairs", "5ns-three-gates", "5ns-identity", "60ns-xy", "off-grid"],
 )
 def test_drive_quadrature_from_the_basis_matches_a_fresh_transform(duration_s, pairs, monkeypatch):
-    drives = _synthesized_quadratures(monkeypatch, MismatchModel(15.0, 15.0, 0.276), duration_s, pairs)
+    _, drives = _synthesized_drives(monkeypatch, MismatchModel(15.0, 15.0, 0.276), duration_s, pairs)
     assert len(drives) == len(pairs)
-    for x, hx in drives:
+    for x, hx in ((wf.samples, wf._quadrature) for wf in drives):
         fresh = distortion._hilbert_transform(x)
         assert np.max(np.abs(hx - fresh)) <= 1e-12 * np.max(np.abs(x)), np.max(np.abs(hx - fresh)) / np.max(np.abs(x))
         if not np.any(x):
@@ -771,14 +772,13 @@ def test_calibration_alone_builds_no_quadrature_basis():
 
 
 def test_replaced_or_hand_built_waveform_runs_its_own_transform(monkeypatch):
-    gates, amps = [GateOp("X"), GateOp("Y")], {"X": 1.2e9, "Y": 1.2e9}
-    wf = qubitsim._sequence_samples(gates, 5e-9, amps, PARAMS, quadrature=True)
+    _, [wf] = _synthesized_drives(monkeypatch, MismatchModel(15.0, 15.0, 0.276), 5e-9, XY_PAIR)
     calls = _count_hilbert_transforms(monkeypatch)
     others = [replace(wf, samples=2 * wf.samples), PulseWaveform(wf.dt_s, wf.samples, wf.carrier_hz)]
     for other in others:
         np.testing.assert_array_equal(other._quadrature, distortion._hilbert_transform(other.samples))
     assert len(calls) == 4  # one per waveform, one per oracle
-    wf._quadrature  # the synthesized drive reads its basis
+    wf._quadrature  # the synthesized drive reads the H[x] summed from its basis
     assert len(calls) == 4
 
 
@@ -821,15 +821,16 @@ def _whole_drive_convolution(x, h):
 def _synthesized_fourier_lanes(monkeypatch, model, duration_s, pairs):
     """(drive, response, lane) of every Fourier convolution run_allxy runs."""
     seen = []
+    convolve = qubitsim._shape_convolution
 
-    def spy(pulse, h):
-        lane = distort_with_response(pulse, h)
-        seen.append((pulse.samples, h.values, lane.samples))
+    def spy(*args):
+        lane = convolve(*args)
+        seen.append((args[-1], lane))  # the response h is the last argument
         return lane
 
-    monkeypatch.setattr(qubitsim, "distort_with_response", spy)
-    run_allxy(model, duration_s, PARAMS, pairs=pairs, method="fourier")
-    return seen
+    monkeypatch.setattr(qubitsim, "_shape_convolution", spy)
+    _, drives = _synthesized_drives(monkeypatch, model, duration_s, pairs, method="fourier")
+    return [(wf.samples, h, y) for wf, (h, y) in zip(drives, seen, strict=True)]
 
 
 @pytest.mark.parametrize(
@@ -850,24 +851,27 @@ def test_gate_shape_convolution_matches_the_whole_drive_fft(duration_s, pairs, m
             assert not np.any(y)
 
 
-def test_replaced_or_hand_built_waveform_convolves_the_whole_drive():
-    gates, amps = [GateOp("X"), GateOp("Y")], {"X": 1.2e9, "Y": 1.2e9}
-    wf = qubitsim._sequence_samples(gates, 5e-9, amps, PARAMS, quadrature=True)
-    h = _fourier_response(MismatchModel(15.0, 15.0, 0.276))
-    for other in (replace(wf), replace(wf, samples=2 * wf.samples), PulseWaveform(wf.dt_s, wf.samples, wf.carrier_hz)):
+def test_replaced_or_hand_built_waveform_convolves_the_whole_drive(monkeypatch):
+    # distort_with_response convolves every waveform whole, a drive run_allxy synthesized included:
+    # only run_allxy itself sums a Fourier lane per gate shape
+    model = MismatchModel(15.0, 15.0, 0.276)
+    _, [wf] = _synthesized_drives(monkeypatch, model, 5e-9, XY_PAIR, method="fourier")
+    h = _fourier_response(model)
+    for other in (wf, replace(wf), replace(wf, samples=2 * wf.samples), PulseWaveform(wf.dt_s, wf.samples, wf.carrier_hz)):
         np.testing.assert_array_equal(distort_with_response(other, h).samples, _whole_drive_convolution(other.samples, h.values))
-    assert not np.array_equal(distort_with_response(wf, h).samples, _whole_drive_convolution(wf.samples, h.values))
 
 
-def _padded_lane_deviations(model, duration_s, pairs, method):
-    """run_allxy's 1-F by the path it replaced: each lane an array (the taps summed whole by
+def _padded_lane_deviations(model, duration_s, pairs, method, drives):
+    """run_allxy's 1-F by the path it replaced, from the ``drives`` it distorted (each the pair's
+    synthesized drive, H[x] from its basis): each lane an array (the taps summed whole by
     conftest.tap_lane, or the whole drive convolved by one FFT product), the reference lane
     padded to the distorted lane's length by np.pad, and both evolved as sampled waveforms."""
     amplitudes = qubitsim.calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, PARAMS)
     taps = impulse_response_taps(model)
     out = []
-    for pair in pairs:
-        wf = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS, quadrature=True)
+    for pair, wf in zip(pairs, drives, strict=True):
+        synthesized = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS)
+        np.testing.assert_array_equal(wf.samples, synthesized.samples)
         if method == "fourier":
             dist = _whole_drive_convolution(wf.samples, _fourier_response(model).values)
         else:
@@ -884,9 +888,9 @@ def _padded_lane_deviations(model, duration_s, pairs, method):
 FOURIER_REL_TOL = 1e-10
 
 
-def _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method):
-    got = run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
-    want = _padded_lane_deviations(model, duration_s, pairs, method)
+def _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method, monkeypatch):
+    got, drives = _synthesized_drives(monkeypatch, model, duration_s, pairs, method)
+    want = _padded_lane_deviations(model, duration_s, pairs, method, drives)
     if method == "fourier":
         assert all(abs(g - w) <= FOURIER_REL_TOL * w for g, w in zip(got, want)), (got, want)
     else:
@@ -896,9 +900,9 @@ def _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method):
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
 @pytest.mark.parametrize("length_m", [0.270, 0.274, 0.278, 0.282])
-def test_60ns_run_allxy_is_bitwise_the_padded_lane_path(length_m, method):
+def test_60ns_run_allxy_is_bitwise_the_padded_lane_path(length_m, method, monkeypatch):
     for rl in (10.0, 12.0, 16.0, 18.0):
-        _assert_bitwise_as_the_padded_lane_path(MismatchModel(rl, rl, length_m), 60e-9, XY_PAIR, method)
+        _assert_bitwise_as_the_padded_lane_path(MismatchModel(rl, rl, length_m), 60e-9, XY_PAIR, method, monkeypatch)
 
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
@@ -913,19 +917,46 @@ def test_60ns_run_allxy_is_bitwise_the_padded_lane_path(length_m, method):
     ],
     ids=["5ns-all-pairs", "identity", "off-grid", "every-tap-on-grid", "direct-tap-on-grid"],
 )
-def test_run_allxy_is_bitwise_the_padded_lane_path(model, duration_s, pairs, method):
-    got = _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method)
+def test_run_allxy_is_bitwise_the_padded_lane_path(model, duration_s, pairs, method, monkeypatch):
+    got = _assert_bitwise_as_the_padded_lane_path(model, duration_s, pairs, method, monkeypatch)
     assert (pairs == (("I", "I"),)) == (got == [0.0])
 
 
-def test_on_grid_lanes_end_on_zero_samples():
+def test_on_grid_lanes_end_on_zero_samples(monkeypatch):
     # with every tap on the grid no carrier rotation reaches past the pulse, whose envelope ends
     # on 0.0, so the evolved lanes end on zero samples and the last-driven-step rule decides
-    amps = qubitsim.calibrated_amplitudes(["X", "Y"], 5e-9, PARAMS)
-    wf = qubitsim._sequence_samples([GateOp("X"), GateOp("Y")], 5e-9, amps, PARAMS, quadrature=True)
-    taps = impulse_response_taps(MismatchModel(15.0, 15.0, 0.3, v_p=2e8))
+    model = MismatchModel(15.0, 15.0, 0.3, v_p=2e8)
+    _, [wf] = _synthesized_drives(monkeypatch, model, 5e-9, XY_PAIR)
+    taps = impulse_response_taps(model)
     for lane in (distort(wf, taps), distort(wf, ImpulseResponse(taps.taps[:1]))):
         assert lane.samples[-1] == 0.0 and lane.samples[-2] != 0.0
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+def test_reference_lane_is_the_distorted_views_direct_tap(method, monkeypatch):
+    # one distort per (pair, model): the reference lane is that tap view's direct tap over the
+    # distorted lane's horizon, the same bits as the direct tap distorted alone, zero-padded
+    events = []
+
+    def distort_spy(pulse, h):
+        events.append(("distort", pulse, h))
+        return distort(pulse, h)
+
+    def evolve_spy(state, waveform, params, **kwargs):
+        events.append(("evolve", waveform))
+        return evolve(state, waveform, params, **kwargs)
+
+    monkeypatch.setattr(qubitsim, "distort", distort_spy)
+    monkeypatch.setattr(qubitsim, "evolve", evolve_spy)
+    pairs = (("X", "Y"), ("Y90", "X"))
+    sweep_return_loss(MismatchModel(15.0, 15.0, 0.276), np.array([12.0, 15.0, 18.0]), 5e-9, PARAMS, pairs=pairs, method=method)
+    first = next(k for k, event in enumerate(events) if event[0] == "distort")  # after the calibration probes
+    runs = [events[k : k + 3] for k in range(first, len(events), 3)]
+    assert sum(event[0] == "distort" for event in events) == len(runs) == 2 * 3
+    for (kind, pulse, h), (_, ref), (_, dist) in runs:
+        assert kind == "distort" and ref.pulse is pulse and ref.length == dist.length
+        direct = tap_lane(pulse, ImpulseResponse(h.taps[:1]))
+        assert ref.samples.tobytes() == np.pad(direct, (0, ref.length - direct.size)).tobytes()
 
 
 def test_warm_run_allxy_builds_no_tap_lane(monkeypatch):
