@@ -48,7 +48,6 @@ from .distortion import (
     MismatchModel,
     PulseWaveform,
     distort,
-    distort_with_response,
     impulse_response_fourier,
     impulse_response_taps,
 )

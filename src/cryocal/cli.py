@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .traces import GridError, _bad_byte_line
+from .traces import GridError, _bad_byte_line, _check_sample_count
 from .touchstone import (
     TouchstoneParseError,
     read_touchstone_file,
@@ -370,6 +370,7 @@ def _axis(cfg: dict, model: MismatchModel, fields: tuple[str, ...]) -> np.ndarra
     ends = {end: _get(block, end, float, where="axis") for end in ("start", "stop")}
     if count < 1:
         raise ConfigError(f"axis.count must be an integer >= 1, got {count!r}")
+    _check_sample_count(count, ConfigError, "axis.count")
     for end, value in ends.items():
         _build(f"axis.{end}: ", replace, model, **dict.fromkeys(fields, value))
     return np.linspace(ends["start"], ends["stop"], count)

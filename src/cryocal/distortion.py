@@ -3,10 +3,9 @@
 A drive-line section bounded by two partial reflectors turns one incident
 pulse into a ladder of delayed ghost copies. Two equivalent constructions
 are provided: an explicit tap ladder (delays L(2k+1)/v_p, geometric
-amplitudes) and the inverse transform of the section's complex transmission
-function. Waveform distortion is the convolution of the drive with either
-response: the ladder's as a tap view summed where it is read, the sampled
-response's by FFT over the whole drive.
+amplitudes), which :func:`distort` applies as a tap view summed where it is
+read, and the sampled inverse transform of the section's complex transmission
+function, which ``qubitsim.run_allxy`` convolves with each gate shape.
 """
 from __future__ import annotations
 
@@ -282,21 +281,3 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> TappedWaveform:
     pulse._quadrature  # built here, before any read: every read of every tap view shares it
     return TappedWaveform(pulse, tuple(taps), pulse.length + max((m for m, _, _ in taps), default=0))
 
-
-def distort_with_response(pulse: PulseWaveform, h: TimeTrace) -> PulseWaveform:
-    """Discrete convolution of the pulse with a sampled impulse response.
-
-    Requires matching sample intervals; the response starts at t = 0, as
-    every :class:`TimeTrace` does. Because the sampled response is the
-    band-limited image of the tap ladder, plain sample-by-sample convolution
-    reproduces fractional tap delays automatically. It is one real FFT
-    product over the whole drive at a fast length.
-    """
-    if abs(h.dt_s - pulse.dt_s) > 1e-15 * pulse.dt_s:
-        raise DistortionError(
-            f"sample interval mismatch: pulse {pulse.dt_s:.3e} s vs response {h.dt_s:.3e} s"
-        )
-    n = pulse.samples.size + h.values.size - 1
-    size = _fast_len(n)
-    y = np.fft.irfft(np.fft.rfft(pulse.samples, size) * np.fft.rfft(np.real(h.values), size), size)[:n]
-    return PulseWaveform(pulse.dt_s, y, pulse.carrier_hz)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid
+from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid, QubitState, qubitsim
+from cryocal.distortion import _fast_len
 
 
 def tap_lane(pulse, h) -> np.ndarray:
@@ -20,6 +21,19 @@ def tap_lane(pulse, h) -> np.ndarray:
         y[m : m + x.size] += (amp * math.cos(theta)) * x
         y[m : m + x.size] += (amp * math.sin(theta)) * hx
     return y
+
+
+def response_window(model) -> float:
+    """The span run_allxy samples a model's Fourier response over: the transit and K + 3 round trips."""
+    return model.transit_s + (model.max_reflections + 3) * model.spacing_s
+
+
+def whole_drive_convolution(x, h) -> np.ndarray:
+    """x * h for a sampled response h, as one real FFT product over the whole drive at a fast
+    length: the oracle for run_allxy's Fourier lane, which sums one convolution per gate shape."""
+    n = x.size + h.size - 1
+    size = _fast_len(n)
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n]
 
 
 def aligned_grid(start_hz=1e7, step_hz=1e7, count=2650) -> FrequencyGrid:
@@ -134,3 +148,30 @@ def record_ffts(monkeypatch):
                               ("irfft", lambda m: 2 * (m - 1))]:
         monkeypatch.setattr(np.fft, name, recording(name, default_len))
     return calls
+
+
+def cycling_pi_calibration(monkeypatch) -> list[float]:
+    """Make every pi calibration's Newton iteration cycle; returns the probe scales it evolves,
+    in units of the rotating-wave estimate est.
+
+    ``qubitsim.evolve`` returns the ground amplitude g(a) = sign(d) sqrt(|d| / (0.4 est)) at
+    probe scale a, d = a - 1.1 est. A Newton step on g maps d to -d, so from a = est the
+    iteration alternates between est and 1.2 est, inside its bracket, with |g| = 1/2.
+    """
+    probe_of, unit = qubitsim._calibration_probe, {}
+    scales = []
+
+    def probe(*args):
+        wf, area, s = probe_of(*args)
+        unit.update(peak=np.max(np.abs(wf.samples)), est=math.pi / area)
+        return wf, area, s
+
+    def evolve(state, waveform, params, **kwargs):
+        a = np.max(np.abs(waveform.samples)) / unit["peak"] / unit["est"]
+        scales.append(a)
+        g = math.copysign(math.sqrt(abs(a - 1.1) / 0.4), a - 1.1)
+        return QubitState(np.array([g, math.sqrt(1.0 - g * g)]))
+
+    monkeypatch.setattr(qubitsim, "_calibration_probe", probe)
+    monkeypatch.setattr(qubitsim, "evolve", evolve)
+    return scales

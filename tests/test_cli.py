@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -34,6 +35,7 @@ from conftest import (
     TOKEN_VALUES,
     aligned_grid,
     constant_error_model,
+    cycling_pi_calibration,
     mutated_s1p,
     reflector_trace,
     shorted_line_trace,
@@ -418,6 +420,13 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_module_runs_as_a_script():
+    src = str(Path(cryocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "cryocal.cli", "--version"], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "cryocal 0.1.0\n", ""), out
+
+
 def fidelity_config(tmp_path, **overrides):
     cfg = tmp_path / "f.json"
     base = {"model": {"rl_db": 15, "length_m": 0.276}, "axis": {"start": 12, "stop": 18, "count": 2}}
@@ -598,6 +607,7 @@ OVERSIZED = [
     ("fidelity", {("model", "length_m"): 1e300}, 3),
     ("fidelity", {("model", "v_p_over_c"): 1e-300}, 3),
     ("fidelity", {("model", "length_m"): 1e300, ("method",): "fourier"}, 3),
+    ("fidelity", {("axis", "count"): 10**20}, 2),
 ]
 
 
@@ -608,6 +618,18 @@ def test_oversized_sample_count_is_an_error_naming_it(valid, tmp_path, name, cha
         cfg = mutated(cfg, path, value)
     got, err = run_config(argv, cfg, tmp_path)
     assert got == code and "samples, more than numpy can allocate" in err and "Traceback" not in err, err
+
+
+def test_oversized_axis_count_names_the_key(valid, tmp_path):
+    argv, cfg = valid[1]["fidelity"]
+    got, err = run_config(argv, mutated(cfg, ("axis", "count"), 10**20), tmp_path)
+    assert got == 2 and err == "cryocal: config error: axis.count needs 1e+20 samples, more than numpy can allocate\n", err
+
+
+def test_calibration_that_does_not_converge_is_a_numeric_failure(tmp_path, monkeypatch):
+    cycling_pi_calibration(monkeypatch)
+    got, err = run_config(["pulse", "synth"], {"gate": "X", "duration_ns": 5}, tmp_path)
+    assert (got, err) == (4, "cryocal: numeric failure: calibration did not converge in 20 Newton steps\n")
 
 
 def test_out_of_memory_is_a_numeric_failure_not_a_traceback(valid, tmp_path, monkeypatch):

@@ -29,10 +29,10 @@ from cryocal import (
     synth_gate_pulse,
 )
 from cryocal import distortion, qubitsim
-from cryocal.distortion import ImpulseResponse, distort, distort_with_response, impulse_response_fourier, impulse_response_taps
+from cryocal.distortion import ImpulseResponse, distort, impulse_response_fourier, impulse_response_taps
 from cryocal.qubitsim import GROUND
 
-from conftest import record_ffts, tap_lane
+from conftest import cycling_pi_calibration, record_ffts, response_window, tap_lane, whole_drive_convolution
 
 PARAMS = QubitParams()
 EXCITED = QubitState(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
@@ -207,9 +207,8 @@ def _xy_60ns_through_taps():
 def _xy_60ns_through_fourier():
     gates = [GateOp("X"), GateOp("Y")]
     wf = qubitsim._sequence_samples(gates, 60e-9, {"X": 1e8, "Y": 1e8}, PARAMS)
-    m = MismatchModel(15.0, 15.0, 0.276)
-    window = m.transit_s + (m.max_reflections + 3) * m.spacing_s  # the window run_allxy uses
-    return distort_with_response(wf, impulse_response_fourier(m, 1.0 / PARAMS.dt_s, window))
+    lane = whole_drive_convolution(wf.samples, _fourier_response(MismatchModel(15.0, 15.0, 0.276)).values)
+    return PulseWaveform(wf.dt_s, lane, wf.carrier_hz)
 
 
 @pytest.fixture(scope="module")
@@ -582,6 +581,15 @@ def test_calibration_is_the_same_cold_warm_and_after_clearing_the_probe():
     assert cold == warm == run()
 
 
+def test_calibration_that_cycles_stops_after_20_newton_steps(monkeypatch):
+    scales = cycling_pi_calibration(monkeypatch)
+    with pytest.raises(SimulationError, match="^calibration did not converge in 20 Newton steps$"):
+        calibrate_amplitude(GateOp("X"), 5e-9, PARAMS)
+    assert len(scales) == 40  # a probe at a + h and one at a - h per step
+    centres = (np.array(scales[0::2]) + np.array(scales[1::2])) / 2
+    np.testing.assert_allclose(centres, np.tile([1.0, 1.2], 10), rtol=1e-6)
+
+
 def test_calibration_rejects_zero_duration():
     # the duration guard fires before the rotating-wave estimate divides by
     # the envelope area, which is zero for a zero duration
@@ -806,16 +814,7 @@ def test_run_allxy_waveforms_adopt_the_arrays_built_for_them(method, monkeypatch
 
 def _fourier_response(model):
     """The sampled response run_allxy convolves with, over the window it uses."""
-    window = model.transit_s + (model.max_reflections + 3) * model.spacing_s
-    return impulse_response_fourier(model, 1.0 / PARAMS.dt_s, window)
-
-
-def _whole_drive_convolution(x, h):
-    """x * h as one real FFT product at a fast length: the Fourier lane of any waveform that
-    qubitsim did not synthesize."""
-    n = x.size + h.size - 1
-    size = distortion._fast_len(n)
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n]
+    return impulse_response_fourier(model, 1.0 / PARAMS.dt_s, response_window(model))
 
 
 def _synthesized_fourier_lanes(monkeypatch, model, duration_s, pairs):
@@ -843,22 +842,12 @@ def test_gate_shape_convolution_matches_the_whole_drive_fft(duration_s, pairs, m
     lanes = _synthesized_fourier_lanes(monkeypatch, MismatchModel(15.0, 15.0, 0.276), duration_s, pairs)
     assert len(lanes) == len(pairs)
     for x, h, y in lanes:
-        want = _whole_drive_convolution(x, h)
+        want = whole_drive_convolution(x, h)
         assert y.shape == want.shape and not y.flags.writeable
         scale = np.max(np.abs(want))
         assert np.max(np.abs(y - want)) <= 1e-12 * scale, np.max(np.abs(y - want)) / scale
         if not np.any(x):
             assert not np.any(y)
-
-
-def test_replaced_or_hand_built_waveform_convolves_the_whole_drive(monkeypatch):
-    # distort_with_response convolves every waveform whole, a drive run_allxy synthesized included:
-    # only run_allxy itself sums a Fourier lane per gate shape
-    model = MismatchModel(15.0, 15.0, 0.276)
-    _, [wf] = _synthesized_drives(monkeypatch, model, 5e-9, XY_PAIR, method="fourier")
-    h = _fourier_response(model)
-    for other in (wf, replace(wf), replace(wf, samples=2 * wf.samples), PulseWaveform(wf.dt_s, wf.samples, wf.carrier_hz)):
-        np.testing.assert_array_equal(distort_with_response(other, h).samples, _whole_drive_convolution(other.samples, h.values))
 
 
 def _padded_lane_deviations(model, duration_s, pairs, method, drives):
@@ -873,7 +862,7 @@ def _padded_lane_deviations(model, duration_s, pairs, method, drives):
         synthesized = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS)
         np.testing.assert_array_equal(wf.samples, synthesized.samples)
         if method == "fourier":
-            dist = _whole_drive_convolution(wf.samples, _fourier_response(model).values)
+            dist = whole_drive_convolution(wf.samples, _fourier_response(model).values)
         else:
             dist = tap_lane(wf, taps)
         ref = tap_lane(wf, ImpulseResponse(taps.taps[:1]))
