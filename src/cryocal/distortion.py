@@ -47,6 +47,7 @@ class MismatchModel:
             raise DistortionError(f"v_p must be in (0, c], got {self.v_p}")
         if not self.max_reflections >= 0:
             raise DistortionError("max_reflections must be >= 0")
+        _check_sample_count(self.max_reflections + 1, DistortionError, "max_reflections")  # the taps' count
 
     @property
     def alpha(self) -> float:
@@ -231,13 +232,14 @@ class PulseWaveform:
 
 @dataclass(frozen=True)
 class TappedWaveform:
-    """:func:`distort`'s lane of ``length`` samples, summed where it is read: sample k is the sum of
-    c x[k - m] + s H[x][k - m] over the ``taps`` (m, c, s) in order, the same bits in any window."""
+    """A lane of ``length`` samples at ``dt_s``, summed where it is read: sample k is the sum of
+    c x[k - m] + s y[k - m] over the ``taps`` (m, c, s) in order, the same bits in any window."""
 
-    pulse: PulseWaveform
-    taps: tuple[tuple[int, float, float], ...]  # sample shift m, amp cos(theta), amp sin(theta)
+    dt_s: float
+    x: np.ndarray
+    y: np.ndarray
+    taps: tuple[tuple[int, float, float], ...]  # sample shift m and the weights c of x, s of y
     length: int
-    dt_s = property(lambda self: self.pulse.dt_s)
     times = PulseWaveform.times
 
     @cached_property
@@ -246,19 +248,19 @@ class TappedWaveform:
 
     def read(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
         """Samples j0 .. j1 - 1 summed into ``out[:j1 - j0]``, a read-only view; raises if one is not finite."""
-        y = out[: j1 - j0]
-        y.fill(0.0)
-        x, hx = self.pulse.samples, self.pulse._quadrature
+        lane = out[: j1 - j0]
+        lane.fill(0.0)
+        x, y = self.x, self.y
         for m, c, s in self.taps:
             a, b = max(j0, m), min(j1, m + x.size)
             if a < b:
-                seg = y[a - j0 : b - j0]
+                seg = lane[a - j0 : b - j0]
                 seg += c * x[a - m : b - m]
-                seg += s * hx[a - m : b - m]
-        if not np.all(np.isfinite(y)):
+                seg += s * y[a - m : b - m]
+        if not np.all(np.isfinite(lane)):
             raise DistortionError("waveform contains non-finite samples")
-        y.setflags(write=False)
-        return y
+        lane.setflags(write=False)
+        return lane
 
 
 def distort(pulse: PulseWaveform, h: ImpulseResponse) -> TappedWaveform:
@@ -269,7 +271,7 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> TappedWaveform:
     Re((x + i H[x]) exp(-i theta)) with theta = 2 pi f eps, which keeps the
     carrier phase exact at delays the sample grid cannot represent (an
     on-grid tap has theta = 0). The output covers the last tap; H[x] is built
-    here, the sum only where the :class:`TappedWaveform` is read.
+    here, the sum of x and H[x] only where the :class:`TappedWaveform` is read.
     """
     last = max((delay for delay, _ in h.taps), default=0.0)
     _check_sample_count(pulse.length + last / pulse.dt_s, DistortionError, "the distorted waveform")
@@ -278,6 +280,6 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> TappedWaveform:
         m = int(round(delay / pulse.dt_s))
         theta = 2.0 * math.pi * pulse.carrier_hz * (delay - m * pulse.dt_s)
         taps.append((m, amp * math.cos(theta), amp * math.sin(theta)))
-    pulse._quadrature  # built here, before any read: every read of every tap view shares it
-    return TappedWaveform(pulse, tuple(taps), pulse.length + max((m for m, _, _ in taps), default=0))
+    length = pulse.length + max((m for m, _, _ in taps), default=0)
+    return TappedWaveform(pulse.dt_s, pulse.samples, pulse._quadrature, tuple(taps), length)
 

@@ -239,25 +239,20 @@ def _gate_spectra(duration_s: float, params: QubitParams, size: int) -> tuple[np
 
 def _shape_convolution(
     duration_s: float, params: QubitParams, n_gate: int, placed, n: int, h: np.ndarray
-) -> np.ndarray:
-    """x * h for the n-sample drive x = sum of Re(a u) starting at p, for each (p, a) in ``placed``, read-only.
+) -> TappedWaveform:
+    """x * h for the n-sample drive x = sum of Re(a u) starting at p, for each (p, a) in ``placed``.
 
     h is real and Re(a u) = Re(a) Re(u) + Re(i a) Im(u), so the drive's convolution is a
     sum of shifted, scaled copies of two one-gate convolutions, Re u * h and Im u * h, each
     one FFT product with :func:`_gate_spectra` at a fast length that holds its
-    n_gate + h.size samples without wrapping.
+    n_gate + h.size samples without wrapping: a tap view with one tap (p, Re a, Re(i a)) per gate.
     """
     m = n_gate + h.size  # samples of one gate's convolution
     size = _fast_len(m)
     spec_h = np.fft.rfft(h, size)
-    y = np.zeros(n + h.size - 1)
-    for spec, z in zip(_gate_spectra(duration_s, params, size), (1.0, 1j)):
-        lane = np.fft.irfft(spec * spec_h, size)[:m]
-        for p, a in placed:
-            y[p : p + m] += (z * a).real * lane
-        del lane  # the next product and its transform then overlap no lane
-    y.setflags(write=False)  # built only for the waveform, which adopts it
-    return y
+    re, im = (np.fft.irfft(spec * spec_h, size)[:m] for spec in _gate_spectra(duration_s, params, size))
+    taps = tuple((p, a.real, (1j * a).real) for p, a in placed)
+    return TappedWaveform(params.dt_s / 2.0, re, im, taps, n + h.size - 1)
 
 
 def synth_gate_pulse(gate: GateOp, duration_s: float, params: QubitParams, amplitude: float | None = None) -> PulseWaveform:
@@ -557,11 +552,11 @@ def run_allxy(
 
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
-    drive is synthesized once as placed copies of one gate shape, so its Fourier lanes sum the gate's
-    cached spectra and its H[x], stored in the drive's quadrature cache for every model's tap view,
-    sums the cached basis: no FFT spans a whole drive and a warm call runs no Hilbert transform.
-    The order bounds the peak: the first pair's basis before calibration, each basis before its
-    drive, and H[x] after the pair's first Fourier lane, so no two of their buffers overlap."""
+    drive is synthesized once as placed copies of one gate shape, so a Fourier lane is a tap view of
+    the gate's two convolutions, and its H[x], stored in the drive's quadrature cache for every
+    model's tap view, sums the cached basis: no FFT spans a whole drive, a warm call runs no Hilbert
+    transform and every lane evolved is a tap view. The order bounds the peak: the first pair's basis
+    before calibration, each basis before its drive, and H[x] after the pair's first Fourier lane."""
     sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:
@@ -588,7 +583,7 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
             if i == 0:
                 vars(wf)["_quadrature"] = _basis_quadrature(basis, wf.length, n_gate, placed, turn)
             view = distort(wf, ladder)
-            dist_wf = PulseWaveform(ds, lane, wf.carrier_hz) if responses else view
+            dist_wf = lane if responses else view
             # the direct tap alone, over the distorted lane's longer horizon: lab-frame phases cancel
             ref_wf = replace(view, taps=view.taps[:1], length=dist_wf.length)
             out[i, j] = max(0.0, 1.0 - fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params)))

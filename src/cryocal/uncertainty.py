@@ -102,8 +102,8 @@ def to_return_loss(s11_linear: float, sigma_rss: float) -> ReturnLossResult:
     """
     if not 0 < s11_linear < math.inf:
         raise UncertaintyError(f"s11_linear must be finite and > 0, got {s11_linear}")
-    if not 0 <= sigma_rss < math.inf:
-        raise UncertaintyError(f"sigma_rss must be finite and >= 0, got {sigma_rss}")
+    if not (sigma_rss >= 0 and s11_linear + sigma_rss < math.inf):  # the worse bound's dB needs a finite sum
+        raise UncertaintyError(f"sigma_rss must be >= 0 with s11_linear + sigma_rss finite, got {sigma_rss}")
     rl = -20.0 * math.log10(s11_linear)
     lower = -20.0 * math.log10(s11_linear + sigma_rss)
     if sigma_rss >= s11_linear:

@@ -608,6 +608,7 @@ OVERSIZED = [
     ("fidelity", {("model", "v_p_over_c"): 1e-300}, 3),
     ("fidelity", {("model", "length_m"): 1e300, ("method",): "fourier"}, 3),
     ("fidelity", {("axis", "count"): 10**20}, 2),
+    ("fidelity", {("model", "max_reflections"): 10**20}, 2),
 ]
 
 
@@ -944,6 +945,13 @@ def test_empty_rows_give_a_header_only_table(tmp_path):
     assert run_config(["uncertainty"], {"rows": []}, tmp_path) == (0, "")
     text = (tmp_path / "out" / "return_loss_table.csv").read_text()
     assert text == "freq_ghz,s11_linear,sigma_rss,rl_db,upper_db,lower_db,display\n"
+
+
+def test_row_whose_worse_bound_overflows_is_a_config_error(tmp_path):
+    cfg = {"rows": [{"freq_ghz": 5, "s11": 1e308, "sigma": 1e308}]}
+    code, err = run_config(["uncertainty"], cfg, tmp_path)
+    assert (code, err) == (2, "cryocal: config error: rows[0].sigma: sigma_rss must be >= 0 with s11_linear + sigma_rss "
+                              "finite, got 1e+308\n")
 
 
 def test_zero_reflection_has_infinite_return_loss(tmp_path):

@@ -1,6 +1,8 @@
+import cmath
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -151,6 +153,8 @@ def test_model_rejection_starts_with_its_field():
         ((15.0, 0.0, 0.3), "rl2_db must be > 0 dB, got 0.0"),
         ((-1e5, 15.0, 0.3), "rl1_db must be > 0 dB, got -100000.0"),
         ((15.0, 15.0, 0.3, 1.5 * C), f"v_p must be in (0, c], got {1.5 * C}"),
+        # judged before the tap ladder's loop could run that many times
+        ((15.0, 15.0, 0.3, 0.7 * C, 10**20), "max_reflections needs 1e+20 samples, more than numpy can allocate"),
     ]:
         with pytest.raises(DistortionError, match=f"^{re.escape(message)}$"):
             MismatchModel(*args)
@@ -229,23 +233,44 @@ def test_distort_shares_analytic_signal_bitwise():
     np.testing.assert_array_equal(shared, fresh)
 
 
-@pytest.mark.parametrize(
-    "taps",
-    [
-        ((0.0, 1.0), (500 * 1e-12, 0.25)),  # m dt exactly: theta = 0
-        impulse_response_taps(MismatchModel(12.0, 12.0, 0.3)).taps,
-        ((123.4e-12, 0.7),),
-        (),
-    ],
-    ids=["on-grid", "off-grid", "single-tap", "empty"],
-)
-def test_tap_view_is_the_summed_lane_bit_for_bit(taps):
+def _distorted_lane(taps):
+    """distort's tap view of the carrier pulse, the lane tap_lane sums whole and its sample interval."""
     p, h = carrier_pulse(), ImpulseResponse(taps=taps)
-    view = distort(p, h)
-    want = tap_lane(p, h)
+    return distort(p, h), tap_lane(p, h), p.dt_s
+
+
+def _fourier_lane():
+    """run_allxy's Fourier lane of an X Y pair of 1 ns gates, the lane summed whole from its two
+    one-gate convolutions tap by tap, and its sample interval."""
+    params, model = QubitParams(), MismatchModel(12.0, 12.0, 0.03)
+    h = impulse_response_fourier(model, 1.0 / params.dt_s, model.transit_s + 8 * model.spacing_s).values
+    n_gate, ds = 2000, params.dt_s / 2
+    placed = [(i * n_gate, 1e9 * cmath.exp(1j * (params.omega_q * ds * i * n_gate + phase)))
+              for i, phase in enumerate((0.0, math.pi / 2))]
+    view = qubitsim._shape_convolution(1e-9, params, n_gate, placed, 2 * n_gate + 1, h)
+    want = np.zeros(2 * n_gate + h.size)
+    for m, c, s in view.taps:
+        want[m : m + view.x.size] += c * view.x
+        want[m : m + view.x.size] += s * view.y
+    return view, want, ds
+
+
+@pytest.mark.parametrize(
+    "lane",
+    [
+        partial(_distorted_lane, ((0.0, 1.0), (500 * 1e-12, 0.25))),  # m dt exactly: theta = 0
+        partial(_distorted_lane, impulse_response_taps(MismatchModel(12.0, 12.0, 0.3)).taps),
+        partial(_distorted_lane, ((123.4e-12, 0.7),)),
+        partial(_distorted_lane, ()),
+        _fourier_lane,
+    ],
+    ids=["on-grid", "off-grid", "single-tap", "empty", "fourier"],
+)
+def test_tap_view_is_the_summed_lane_bit_for_bit(lane):
+    view, want, dt = lane()
     assert view.length == want.size and view.samples.tobytes() == want.tobytes()
-    assert not view.samples.flags.writeable and view.dt_s == p.dt_s
-    np.testing.assert_array_equal(view.times, p.dt_s * np.arange(want.size))
+    assert not view.samples.flags.writeable and view.dt_s == dt
+    np.testing.assert_array_equal(view.times, dt * np.arange(want.size))
     buf = np.full(1200, np.nan)
     for j0, j1 in [(0, 1), (0, 1200), (499, 1500), (3900, 4001), (want.size - 7, want.size)]:
         assert view.read(j0, j1, buf).tobytes() == want[j0:j1].tobytes(), (j0, j1)

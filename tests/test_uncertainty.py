@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ def test_return_loss_zero_sigma():
     res = to_return_loss(0.1, 0.0)
     assert res.rl_db == pytest.approx(20.0)
     assert res.upper_db == 0.0 and res.lower_db == 0.0
+
+
+def test_return_loss_whose_worse_bound_overflows_is_rejected():
+    # s11 + sigma rounds to inf, whose dB bar no integer display holds
+    message = "sigma_rss must be >= 0 with s11_linear + sigma_rss finite, got 1e+308"
+    with pytest.raises(UncertaintyError, match=f"^{re.escape(message)}$"):
+        to_return_loss(1e308, 1e308)
+    assert to_return_loss(1e308, 7e307).lower_db < math.inf
 
 
 def test_lower_bound_only():
