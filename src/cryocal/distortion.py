@@ -143,10 +143,11 @@ def _hilbert_transform(x: np.ndarray) -> np.ndarray:
     n = x.size
     size = _fast_len(2 * n - 1)
     kernel = _hilbert_spectrum(n, size)  # first, so building it overlaps no buffer of x
-    spec = np.fft.rfft(x, size)
-    spec *= kernel
-    spec *= 1j  # the odd kernel's spectrum is purely imaginary
-    hx = np.fft.irfft(spec, size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x gives a non-finite H[x], which its reader rejects
+        spec = np.fft.rfft(x, size)
+        spec *= kernel
+        spec *= 1j  # the odd kernel's spectrum is purely imaginary
+        hx = np.fft.irfft(spec, size)
     del spec  # at most two M-point buffers live at once
     return hx[:n].copy()  # a copy, so the M-point buffer is freed
 

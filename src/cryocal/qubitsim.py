@@ -358,29 +358,22 @@ def _propagator(waveform: PulseWaveform | TappedWaveform, params: QubitParams) -
     earlier) down to one matrix. The chunk's true carrier starts at
     P = exp(i w t0); with D = diag(1, P) each true step matrix is D M D^-1,
     so only the chunk product's beta is multiplied by P. The chunk products
-    are folded in time order. Steps after the last nonzero sample, which
-    chunks read backward find, see no drive and are skipped as identities.
-    The matrix scales every state's norm by sqrt(|alpha|^2 + |beta|^2), so
-    that minus 1 is the raw RK4 norm drift.
+    are folded in time order, each chunk read once. The matrix scales every
+    state's norm by sqrt(|alpha|^2 + |beta|^2), so that minus 1 is the raw
+    RK4 norm drift.
     """
     if abs(params.dt_s / waveform.dt_s - 2.0) > 1e-9:
         raise SimulationError(
             f"waveform dt {waveform.dt_s:.3e} s is not half the integrator step {params.dt_s:.3e} s"
         )
     read = partial(waveform.read, out=np.empty(2 * _CHUNK + 1))
-    n = waveform.length
-    n_steps, n_driven = (n - 1) // 2, 0
-    for j0 in range((n - 1) // (2 * _CHUNK) * 2 * _CHUNK, -1, -2 * _CHUNK):  # backward to the last nonzero sample
-        nonzero = read(j0, min(n, j0 + 2 * _CHUNK))[::-1] != 0
-        if nonzero.any():
-            n_driven = min(n_steps, (j0 + nonzero.size - 1 - int(np.argmax(nonzero))) // 2 + 1)
-            break
+    n_steps = (waveform.length - 1) // 2
     w, h, ds = params.omega_q, params.dt_s, waveform.dt_s
     carrier = _carrier_table(w, ds)
     e1 = carrier[1].conjugate()
     alpha, beta = np.ones(1, complex), np.zeros(1, complex)
-    for s0 in range(0, n_driven, _CHUNK):
-        j0, j1 = 2 * s0, 2 * min(s0 + _CHUNK, n_driven)
+    for s0 in range(0, n_steps, _CHUNK):
+        j0, j1 = 2 * s0, 2 * min(s0 + _CHUNK, n_steps)
         x = read(j0, j1 + 1)
         a, b = _ordered_product(*_rk4_step_matrices(x[:-1:2], x[1::2], x[2::2], h, carrier[1 : j1 - j0 : 2], e1))
         b *= cmath.exp(1j * w * (ds * j0))  # the chunk's start phase P
@@ -584,9 +577,12 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
                 vars(wf)["_quadrature"] = _basis_quadrature(basis, wf.length, n_gate, placed, turn)
             view = distort(wf, ladder)
             dist_wf = lane if responses else view
-            # the direct tap alone, over the distorted lane's longer horizon: lab-frame phases cancel
-            ref_wf = replace(view, taps=view.taps[:1], length=dist_wf.length)
-            out[i, j] = max(0.0, 1.0 - fidelity(evolve(GROUND, ref_wf, params), evolve(GROUND, dist_wf, params)))
+            # the direct tap alone to one step past its last sample, then turned freely to the distorted lane's end
+            ref_wf = replace(view, taps=view.taps[:1], length=view.taps[0][0] + wf.length + 2)
+            g, e = evolve(GROUND, ref_wf, params).amplitudes
+            steps = (dist_wf.length - 1) // 2 - (ref_wf.length - 1) // 2
+            ref = QubitState(np.array([g, e * cmath.exp(-1j * w * (steps * params.dt_s))]))
+            out[i, j] = max(0.0, 1.0 - fidelity(ref, evolve(GROUND, dist_wf, params)))
     return out
 
 

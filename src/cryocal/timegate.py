@@ -110,7 +110,8 @@ def to_time_domain(trace: ComplexTrace) -> TimeTrace:
     _check_transformable(trace)
     spec = _full_spectrum(trace)
     n_full = 2 * (spec.size - 1)
-    h = np.fft.irfft(spec, n=n_full)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge spectrum is reported by the finite-value checks
+        h = np.fft.irfft(spec, n=n_full)
     dt = 1.0 / (n_full * trace.grid.step_hz)
     return TimeTrace(dt_s=dt, values=h)
 
@@ -148,7 +149,8 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
             f"[{t[n_full // 2]:.3e}, {t[n_full // 2 - 1]:.3e}] s"
         )
 
-    gated = np.fft.rfft(h.values * w, n=n_full)[-trace.grid.count :]  # bins 0..n_end: the measured ones last
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported by the trace's check
+        gated = np.fft.rfft(h.values * w, n=n_full)[-trace.grid.count :]  # bins 0..n_end: the measured ones last
 
     if gate.splice_below_cutoff:
         freqs = trace.grid.frequencies

@@ -386,6 +386,31 @@ def test_overflowing_db_touchstone_raises_no_numpy_warning(tmp_path, capsys):
     assert code == 3 and "non-finite" in err and "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["gate"], {"preset": "connector"}),
+        (["extract-loss"], {}),
+        (["pulse", "synth"], {"gate": "X", "duration_ns": 5, "amplitude": 1e305, "model": {"length_m": 0.276}}),
+    ],
+    ids=["gate", "extract-loss", "pulse-synth"],
+)
+def test_finite_input_whose_transform_overflows_is_one_data_error_line(argv, cfg, tmp_path, capsys):
+    # every value is finite, but the time-domain transforms (gate, extract-loss) and the pulse's
+    # H[x] (a pulse through a model) overflow; the finite-value checks report that, numpy warns nothing
+    if argv[0] != "pulse":
+        huge = tmp_path / "huge.s1p"
+        huge.write_text("# Hz S RI R 50\n" + "".join(f"{k}e9 1e307 1e307\n" for k in range(1, 17)))
+        cfg = {"input": str(huge), **cfg}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--config", path, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("cryocal: data error: ") and err.count("\n") == 1, err
+
+
 def test_fourier_response_window_without_samples_is_data_error(tmp_path, capsys):
     # a 1 um line needs a 0.08 ps response window, under one 1 ps sample
     cfg = tmp_path / "f.json"

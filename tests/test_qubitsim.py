@@ -259,12 +259,17 @@ def _drive_ending_at(last, n_steps):
     [(2 * 700, 1000), (2 * qubitsim._CHUNK, qubitsim._CHUNK + 300), (-1, 1000)],
     ids=["at-a-step-start", "at-a-chunk-edge", "all-zero"],
 )
-def test_evolve_skips_the_zero_tail_exactly(last, n_steps):
-    # every step after the last nonzero sample is the identity; the step
-    # that starts at it is not, even when it is alone in its chunk
+def test_evolve_integrates_the_zero_tail_exactly(last, n_steps):
+    # every step is integrated, those after the last nonzero sample too: each is the identity, so
+    # the state is the scalar oracle's, and the driven part's turned freely on to the tail's end
+    state = QubitState(np.array([1.0, 1.0j]) / math.sqrt(2))
     wf = _drive_ending_at(last, n_steps)
     assert last < 0 or wf.samples[last] != 0.0
-    assert_matches_oracle(QubitState(np.array([1.0, 1.0j]) / math.sqrt(2)), wf)
+    assert_matches_oracle(state, wf)
+    driven = replace(wf, samples=wf.samples[: max(last + 1, 1) // 2 * 2 + 3])  # up to the last step that reads it
+    g, e = evolve(state, driven, PARAMS).amplitudes
+    free = cmath.exp(-1j * PARAMS.omega_q * (n_steps - (driven.length - 1) // 2) * PARAMS.dt_s)
+    assert np.max(np.abs(evolve(state, wf, PARAMS).amplitudes - [g, e * free])) <= 1e-12
 
 
 def _drive_window(kind, n_steps):
@@ -854,8 +859,10 @@ def test_gate_shape_convolution_matches_the_whole_drive_fft(duration_s, pairs, m
 def _padded_lane_deviations(model, duration_s, pairs, method, drives):
     """run_allxy's 1-F by the path it replaced, from the ``drives`` it distorted (each the pair's
     synthesized drive, H[x] from its basis): each lane an array (the taps summed whole by
-    conftest.tap_lane, or the whole drive convolved by one FFT product), the reference lane
-    padded to the distorted lane's length by np.pad, and both evolved as sampled waveforms."""
+    conftest.tap_lane, or the whole drive convolved by one FFT product), both evolved as sampled
+    waveforms. The reference lane is the direct tap padded by np.pad with two zero samples, so its
+    last step starts at or just after the tap's last sample, and its lab-frame state is turned
+    freely on to the distorted lane's end time."""
     amplitudes = qubitsim.calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, PARAMS)
     taps = impulse_response_taps(model)
     out = []
@@ -866,9 +873,12 @@ def _padded_lane_deviations(model, duration_s, pairs, method, drives):
             dist = whole_drive_convolution(wf.samples, _fourier_response(model).values)
         else:
             dist = tap_lane(wf, taps)
-        ref = tap_lane(wf, ImpulseResponse(taps.taps[:1]))
-        lanes = [PulseWaveform(wf.dt_s, lane, wf.carrier_hz) for lane in (np.pad(ref, (0, dist.size - ref.size)), dist)]
-        out.append(max(0.0, 1.0 - fidelity(*(evolve(GROUND, lane, PARAMS) for lane in lanes))))
+        ref = np.pad(tap_lane(wf, ImpulseResponse(taps.taps[:1])), (0, 2))
+        g, e = evolve(GROUND, PulseWaveform(wf.dt_s, ref, wf.carrier_hz), PARAMS).amplitudes
+        steps = (dist.size - 1) // 2 - (ref.size - 1) // 2
+        ref_state = QubitState(np.array([g, e * cmath.exp(-1j * PARAMS.omega_q * (steps * PARAMS.dt_s))]))
+        dist_state = evolve(GROUND, PulseWaveform(wf.dt_s, dist, wf.carrier_hz), PARAMS)
+        out.append(max(0.0, 1.0 - fidelity(ref_state, dist_state)))
     return out
 
 
@@ -914,7 +924,8 @@ def test_run_allxy_is_bitwise_the_padded_lane_path(model, duration_s, pairs, met
 
 def test_on_grid_lanes_end_on_zero_samples(monkeypatch):
     # with every tap on the grid no carrier rotation reaches past the pulse, whose envelope ends
-    # on 0.0, so the evolved lanes end on zero samples and the last-driven-step rule decides
+    # on 0.0, so the evolved lanes end on zero samples: with m0 + n odd (3,000 + 20,001 here) the
+    # reference lane's last step then reads zeros only, and is integrated as the identity
     model = MismatchModel(15.0, 15.0, 0.3, v_p=2e8)
     _, [wf] = _synthesized_drives(monkeypatch, model, 5e-9, XY_PAIR)
     taps = impulse_response_taps(model)
@@ -924,8 +935,8 @@ def test_on_grid_lanes_end_on_zero_samples(monkeypatch):
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
 def test_reference_lane_is_the_distorted_views_direct_tap(method, monkeypatch):
-    # one distort per (pair, model): the reference lane is that tap view's direct tap over the
-    # distorted lane's horizon, the same bits as the direct tap distorted alone, zero-padded
+    # one distort per (pair, model): the reference lane is that tap view's direct tap, one step
+    # past its last sample, the same bits as the direct tap distorted alone, padded by two zeros
     events = []
 
     def distort_spy(pulse, h):
@@ -944,9 +955,87 @@ def test_reference_lane_is_the_distorted_views_direct_tap(method, monkeypatch):
     runs = [events[k : k + 3] for k in range(first, len(events), 3)]
     assert sum(event[0] == "distort" for event in events) == len(runs) == 2 * 3
     for (kind, pulse, h), (_, ref), (_, dist) in runs:
-        assert kind == "distort" and ref.x is pulse.samples and ref.length == dist.length
-        direct = tap_lane(pulse, ImpulseResponse(h.taps[:1]))
-        assert ref.samples.tobytes() == np.pad(direct, (0, ref.length - direct.size)).tobytes()
+        assert kind == "distort" and ref.x is pulse.samples
+        direct = tap_lane(pulse, ImpulseResponse(h.taps[:1]))  # m0 + n samples
+        assert ref.length == direct.size + 2 < dist.length
+        assert ref.samples.tobytes() == np.pad(direct, (0, 2)).tobytes()
+
+
+def _evolved_lane_pairs(monkeypatch, model, duration_s, pairs, method):
+    """run_allxy's 1-F and the (reference, distorted) lanes it evolved for each pair."""
+    lanes = []
+
+    def evolve_spy(state, waveform, params, **kwargs):
+        lanes.append(waveform)
+        return evolve(state, waveform, params, **kwargs)
+
+    monkeypatch.setattr(qubitsim, "evolve", evolve_spy)
+    got = run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
+    monkeypatch.undo()
+    lanes = [wf for wf in lanes if isinstance(wf, distortion.TappedWaveform)]  # not the calibration probes
+    return got, list(zip(lanes[::2], lanes[1::2], strict=True))
+
+
+# m0 (the direct tap's sample shift) + n (the drive's samples, odd) is even at 0.274 m and 0.2001 m,
+# odd at 0.276 m and 0.2 m; the direct tap is on the grid at v_p = 2e8 m/s
+PARITY_MODELS = {
+    "m0-odd": MismatchModel(15.0, 15.0, 0.274),
+    "m0-even": MismatchModel(15.0, 15.0, 0.276),
+    "on-grid-m0-odd": MismatchModel(15.0, 15.0, 0.2001, v_p=2e8),
+    "on-grid-m0-even": MismatchModel(15.0, 15.0, 0.2, v_p=2e8),
+}
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+@pytest.mark.parametrize("model", PARITY_MODELS.values(), ids=list(PARITY_MODELS))
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9, 5.0004e-9])
+def test_run_allxy_meets_the_reference_padded_to_the_distorted_horizon(duration_s, model, method, monkeypatch):
+    # the reference run_allxy evolved before: the direct tap zero-padded to the distorted lane's length,
+    # whose lab-frame state ends at the distorted lane's end time. F is a float near 1, so one rounding
+    # of it moves a 1-F of 2e-7 by 1e-9 relative; these pairs' 1-F, 1e-5 and more, hold 1e-10
+    pairs = XY_PAIR if duration_s == 60e-9 else (("X", "Y"), ("Y90", "X"), ("X", "Y90", "Y"))
+    got, lanes = _evolved_lane_pairs(monkeypatch, model, duration_s, pairs, method)
+    want = []
+    for ref, dist in lanes:
+        assert ref.x is dist.x or method == "fourier"
+        padded = replace(ref, length=dist.length)
+        want.append(max(0.0, 1.0 - fidelity(evolve(GROUND, padded, PARAMS), evolve(GROUND, dist, PARAMS))))
+    assert min(want) > 1e-5 and len(want) == len(pairs)
+    assert all(abs(g - w) <= 1e-10 * w for g, w in zip(got, want, strict=True)), (got, want)
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+@pytest.mark.parametrize("model", [PARITY_MODELS["m0-odd"], PARITY_MODELS["m0-even"]], ids=["m0-odd", "m0-even"])
+@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
+def test_run_allxy_evolves_every_lane_forward_to_a_driven_last_step(duration_s, model, method, monkeypatch):
+    # evolve reads each waveform once, chunk by chunk in time order, and integrates every step it is
+    # given; so no lane ends in a step whose three samples are zero: the reference lane stops one step
+    # past its direct tap's last sample, nonzero off the grid
+    run_allxy(model, duration_s, PARAMS, method=method)  # warm
+    evolved = []
+
+    def read_spy(read):
+        def spy(self, j0, j1, out=None):
+            evolved[-1][1].append(j0)
+            return read(self, j0, j1, out)
+
+        return spy
+
+    def evolve_spy(state, waveform, params, **kwargs):
+        evolved.append((waveform, []))
+        return evolve(state, waveform, params, **kwargs)
+
+    for cls in (distortion.PulseWaveform, distortion.TappedWaveform):
+        monkeypatch.setattr(cls, "read", read_spy(cls.read))
+    monkeypatch.setattr(qubitsim, "evolve", evolve_spy)
+    run_allxy(model, duration_s, PARAMS, method=method)
+    monkeypatch.undo()
+    assert [type(wf) for wf, _ in evolved[-2:]] == [distortion.TappedWaveform] * 2 and len(evolved) > 2
+    for wf, starts in evolved:
+        n_steps = (wf.length - 1) // 2
+        assert starts == list(range(0, 2 * n_steps, 2 * qubitsim._CHUNK))
+        last = wf.read(2 * n_steps - 2, 2 * n_steps + 1, np.empty(3))
+        assert np.any(last), (wf.length, last)
 
 
 def test_warm_run_allxy_builds_no_tap_lane(monkeypatch):
