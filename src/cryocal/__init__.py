@@ -26,7 +26,6 @@ from .timegate import (
     GATE_PRESETS,
     GateError,
     GateSpec,
-    TimeTrace,
     apply_gate,
     extract_insertion_loss,
     insertion_loss_db,

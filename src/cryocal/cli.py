@@ -431,7 +431,7 @@ def cmd_pulse_synth(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[P
     params = _qubit_params(cfg)
     gate = _build("gate: ", GateOp, _get(cfg, "gate", str, "X"))
     duration_s = _get(cfg, "duration_ns", float, 5.0) * 1e-9
-    _build("", _fidelity_request, duration_s, params)
+    _build("", _fidelity_request, duration_s, params, [[gate.kind]])
     amplitude = _get(cfg, "amplitude", float, None)
     model_block = _get(cfg, "model", dict, None)
     model = None if model_block is None else _mismatch_model(model_block)

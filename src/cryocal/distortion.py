@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .timegate import TimeTrace
 from .traces import _check_sample_count, _freeze
 
 C_VACUUM = 299792458.0
@@ -96,14 +95,15 @@ def impulse_response_taps(model: MismatchModel) -> ImpulseResponse:
     return ImpulseResponse(tuple((model.transit_s + k * model.spacing_s, r2**k) for k in range(model.max_reflections + 1)))
 
 
-def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: float) -> TimeTrace:
-    """Sampled response from the Fabry-Perot transmission function.
+def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: float) -> np.ndarray:
+    """Sampled response from the Fabry-Perot transmission function, read-only.
 
     S21(w) = exp(-i w L/v_p) / (1 - r^2 exp(-2 i w L/v_p)) with
     r^2 = alpha*beta, its direct path of unit gain as in
     :func:`impulse_response_taps`, sampled up to f_max and inverse-transformed.
-    The record spans ``window_s``; taps falling beyond it alias, so the window
-    must cover the reflections that still carry amplitude. dt = 1/(2 f_max).
+    The samples start at t = 0, are spaced by dt = 1/(2 f_max) and span
+    ``window_s``; taps falling beyond it alias, so the window must cover the
+    reflections that still carry amplitude.
     """
     if not (0 < f_max_hz < math.inf and 0 < window_s < math.inf):
         raise DistortionError(f"f_max_hz and window_s must be finite and > 0, got {f_max_hz} and {window_s}")
@@ -124,7 +124,8 @@ def impulse_response_fourier(model: MismatchModel, f_max_hz: float, window_s: fl
     delay = np.exp(-1j * w * tau0)
     s21 = delay / (1.0 - r2 * (delay * delay))
     h = np.fft.irfft(s21, n=n_full)
-    return TimeTrace(dt_s=1.0 / (2.0 * f_max_hz), values=h)
+    h.setflags(write=False)
+    return h
 
 
 def _hilbert_transform(x: np.ndarray) -> np.ndarray:

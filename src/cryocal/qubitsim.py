@@ -108,8 +108,8 @@ GROUND = QubitState(np.array([1.0 + 0.0j, 0.0j]))
 def _fidelity_request(duration_s: float, params: QubitParams, pairs=XY_PAIR, method: str = "taps") -> list[list[GateOp]]:
     """The gate sequences of ``pairs``, each gate a ``duration_s`` pulse distorted by ``method``.
 
-    The one judge of a fidelity request, run before anything is calibrated;
-    each rejection starts with its field.
+    The one judge of a fidelity request, the longest drive's sample count included,
+    run before anything is calibrated; each rejection starts with its field.
     """
     if not pairs or not all(pair and not isinstance(pair, str) and set(pair) <= _GATE_TABLE.keys() for pair in pairs):
         raise SimulationError(
@@ -119,6 +119,9 @@ def _fidelity_request(duration_s: float, params: QubitParams, pairs=XY_PAIR, met
         raise SimulationError(f"method must be 'taps' or 'fourier', got {method!r}")
     if not duration_s > 10.0 * params.dt_s:  # false for NaN
         raise SimulationError(f"duration_s must exceed 10 integrator steps of {params.dt_s:g} s, got {duration_s:g}")
+    longest = max(len(pair) for pair in pairs)  # gates of the longest drive, sampled at dt/2
+    _check_sample_count(2.0 * duration_s / params.dt_s * longest, SimulationError,
+                        f"duration_s = {duration_s:g} s: a {longest}-gate drive at {params.dt_s:g} s steps")
     return [[GateOp(k) for k in pair] for pair in pairs]
 
 
@@ -151,11 +154,9 @@ def _sequence_samples(gates: list[GateOp], duration_s: float, amplitudes: dict[s
     Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
     large argument.
     """
-    _fidelity_request(duration_s, params)  # judges the duration
+    _fidelity_request(duration_s, params, [[gate.kind for gate in gates]])  # judges the duration
     ds = params.dt_s / 2.0
-    steps = duration_s / params.dt_s  # per gate
-    _check_sample_count(2.0 * steps * len(gates), SimulationError, "the drive")
-    n_gate = int(round(steps)) * 2  # samples per gate
+    n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate
     x = np.zeros(n_gate * len(gates) + 1)
     env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), ds * n_gate)
     table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
@@ -388,9 +389,10 @@ def evolve(
 
     The waveform must be sampled at half the integrator step, the grid
     :func:`synth_gate_pulse` and both distortion methods produce: each step
-    reads its start, midpoint and end samples. The propagator of all steps
-    (:func:`_propagator`) is applied to the input state once. Raises if the
-    norm drifts by more than 1e-6 and renormalizes a drift above 1e-12.
+    reads its start, midpoint and end samples. The horizon is (length - 1) // 2
+    steps, so an even-length waveform's last sample is not read. The propagator
+    of all steps (:func:`_propagator`) is applied to the input state once.
+    Raises if the norm drifts by more than 1e-6 and renormalizes a drift above 1e-12.
 
     With ``_mirror`` = s, a ground ``state`` and the first half of a mirrored
     calibration probe, it returns the whole probe's state, composed from the
@@ -560,7 +562,7 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     responses = None
     if method == "fourier":  # the waveform is sampled at dt/2, so f_max = 1/dt
         windows = [m.transit_s + (m.max_reflections + 3) * m.spacing_s for m in models]
-        responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w).values for m, w in zip(models, windows)]
+        responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w) for m, w in zip(models, windows)]
     w, ds = params.omega_q, params.dt_s / 2.0
     n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate, as _sequence_samples places them
     turn = cmath.exp(1j * w * (ds * n_gate))
@@ -579,10 +581,12 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
             dist_wf = lane if responses else view
             # the direct tap alone to one step past its last sample, then turned freely to the distorted lane's end
             ref_wf = replace(view, taps=view.taps[:1], length=view.taps[0][0] + wf.length + 2)
-            g, e = evolve(GROUND, ref_wf, params).amplitudes
+            g_r, e_r = evolve(GROUND, ref_wf, params).amplitudes
+            g_d, e_d = evolve(GROUND, dist_wf, params).amplitudes
             steps = (dist_wf.length - 1) // 2 - (ref_wf.length - 1) // 2
-            ref = QubitState(np.array([g, e * cmath.exp(-1j * w * (steps * params.dt_s))]))
-            out[i, j] = max(0.0, 1.0 - fidelity(ref, evolve(GROUND, dist_wf, params)))
+            e_r = e_r * cmath.exp(-1j * w * (steps * params.dt_s))
+            # for unit 2-vectors 1 - |<ref|dist>|^2 = |g_r e_d - e_r g_d|^2, with no cancellation against 1
+            out[i, j] = abs(g_r * e_d - e_r * g_d) ** 2
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import ComplexTrace, _freeze
+from .traces import ComplexTrace
 
 MIN_POINTS = 16
 
@@ -57,26 +57,6 @@ GATE_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class TimeTrace:
-    """Uniformly sampled time response starting at t = 0."""
-
-    dt_s: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.dt_s < np.inf:  # false for NaN
-            raise GateError(f"dt_s must be finite and > 0, got {self.dt_s}")
-        v = _freeze(self.values)
-        if v.ndim != 1 or v.size < 2:
-            raise GateError("time trace needs at least two samples")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt_s * np.arange(self.values.size)
-
-
 def _check_transformable(trace: ComplexTrace):
     if not trace.uniform:
         raise GateError("time-domain transform requires a uniform grid")
@@ -100,20 +80,19 @@ def _full_spectrum(trace: ComplexTrace) -> np.ndarray:
     return spec
 
 
-def to_time_domain(trace: ComplexTrace) -> TimeTrace:
-    """Inverse transform of the Hermitian-extended spectrum.
+def to_time_domain(trace: ComplexTrace) -> np.ndarray:
+    """Inverse transform of the Hermitian-extended spectrum, read-only.
 
-    The result is real (up to numerical noise), spans 1/step_hz, and is
-    sampled at dt = 1/(2 f_max). Time wraps circularly: negative delays
+    The n real samples start at t = 0, span 1/step_hz and are spaced by
+    dt = 1/(n step_hz) = 1/(2 f_max). Time wraps circularly: negative delays
     appear at the end of the record.
     """
     _check_transformable(trace)
     spec = _full_spectrum(trace)
-    n_full = 2 * (spec.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge spectrum is reported by the finite-value checks
-        h = np.fft.irfft(spec, n=n_full)
-    dt = 1.0 / (n_full * trace.grid.step_hz)
-    return TimeTrace(dt_s=dt, values=h)
+        h = np.fft.irfft(spec, n=2 * (spec.size - 1))
+    h.setflags(write=False)
+    return h
 
 
 def _kaiser_continuous(t: np.ndarray, center: float, span: float, beta: float) -> np.ndarray:
@@ -134,11 +113,11 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
     time sample, as every gate outside the measurable span does, is a GateError.
     """
     h = to_time_domain(trace)
-    n_full = h.values.size
+    n_full = h.size
 
     # circular time axis: second half of the record is negative delay
     k = np.arange(n_full)
-    t = np.where(k < n_full // 2, k, k - n_full) * h.dt_s
+    t = np.where(k < n_full // 2, k, k - n_full) * (1.0 / (n_full * trace.grid.step_hz))
 
     w = _kaiser_continuous(t, gate.center_s, gate.span_s, gate.kaiser_beta)
     if not np.any(w > 0):
@@ -150,7 +129,7 @@ def apply_gate(trace: ComplexTrace, gate: GateSpec) -> ComplexTrace:
         )
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported by the trace's check
-        gated = np.fft.rfft(h.values * w, n=n_full)[-trace.grid.count :]  # bins 0..n_end: the measured ones last
+        gated = np.fft.rfft(h * w, n=n_full)[-trace.grid.count :]  # bins 0..n_end: the measured ones last
 
     if gate.splice_below_cutoff:
         freqs = trace.grid.frequencies

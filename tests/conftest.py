@@ -6,7 +6,6 @@ import pytest
 from hypothesis import strategies as st
 
 from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid, QubitState, qubitsim
-from cryocal.distortion import _fast_len
 
 
 def tap_lane(pulse, h) -> np.ndarray:
@@ -29,10 +28,10 @@ def response_window(model) -> float:
 
 
 def whole_drive_convolution(x, h) -> np.ndarray:
-    """x * h for a sampled response h, as one real FFT product over the whole drive at a fast
-    length: the oracle for run_allxy's Fourier lane, which sums one convolution per gate shape."""
+    """x * h for a sampled response h, as one real FFT product over the whole drive at the next
+    power of two: the oracle for run_allxy's Fourier lane, which sums one convolution per gate shape."""
     n = x.size + h.size - 1
-    size = _fast_len(n)
+    size = 1 << (n - 1).bit_length()
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n]
 
 

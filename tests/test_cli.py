@@ -627,8 +627,8 @@ def test_fidelity_model_that_reflects_totally_is_config_error(valid, tmp_path, m
 # (subcommand, changed keys, exit code): each run asks for more samples than numpy
 # can allocate, a request numpy rejects before it allocates anything
 OVERSIZED = [
-    ("pulse", {("duration_ns",): 1e30}, 4),
-    ("pulse", {("qubit", "dt_ps"): 1e-300}, 4),
+    ("pulse", {("duration_ns",): 1e30}, 2),
+    ("pulse", {("qubit", "dt_ps"): 1e-300}, 2),
     ("fidelity", {("model", "length_m"): 1e300}, 3),
     ("fidelity", {("model", "v_p_over_c"): 1e-300}, 3),
     ("fidelity", {("model", "length_m"): 1e300, ("method",): "fourier"}, 3),
@@ -650,6 +650,23 @@ def test_oversized_axis_count_names_the_key(valid, tmp_path):
     argv, cfg = valid[1]["fidelity"]
     got, err = run_config(argv, mutated(cfg, ("axis", "count"), 10**20), tmp_path)
     assert got == 2 and err == "cryocal: config error: axis.count needs 1e+20 samples, more than numpy can allocate\n", err
+
+
+@pytest.mark.parametrize(
+    "name,changes,count",
+    [("fidelity", {("duration_ns",): 1e300}, "4e+303"), ("fidelity", {("qubit", "dt_ps"): 1e-290}, "2e+294"),
+     ("fidelity", {("duration_ns",): 1e300, ("pairs",): [["X", "Y90", "Y"]]}, "6e+303"),
+     ("pulse", {("duration_ns",): 1e300}, "2e+303")],
+    ids=["fidelity-duration", "fidelity-dt", "fidelity-three-gates", "pulse-duration"],
+)
+def test_oversized_drive_names_duration_ns(valid, tmp_path, name, changes, count):
+    # the longest gate sequence's drive, judged with the request before anything is calibrated
+    argv, cfg = valid[1][name]
+    for path, value in changes.items():
+        cfg = mutated(cfg, path, value)
+    got, err = run_config(argv, cfg, tmp_path)
+    assert got == 2 and err.startswith("cryocal: config error: duration_ns: duration_s = "), err
+    assert err.endswith(f" needs {count} samples, more than numpy can allocate\n"), err
 
 
 def test_calibration_that_does_not_converge_is_a_numeric_failure(tmp_path, monkeypatch):

@@ -92,18 +92,18 @@ def test_fourier_response_matches_taps():
     spacing = 2 * m.length_m / m.v_p
     window = m.transit_s + 10 * spacing
     f_max = 1.0 / 2e-12
-    td = impulse_response_fourier(m, f_max, window)
+    td, dt = impulse_response_fourier(m, f_max, window), 1.0 / (2.0 * f_max)
     # Each tap appears in the sampled response at its delay with its
     # amplitude; integrate half a tap spacing either side to collect the
     # band-limited sinc tails.
-    half = int(round(spacing / (2 * td.dt_s)))
+    half = int(round(spacing / (2 * dt)))
     for delay, amp in h.taps[:3]:
-        k = int(round(delay / td.dt_s))
-        window_sum = np.sum(td.values[max(0, k - half) : k + half])
+        k = int(round(delay / dt))
+        window_sum = np.sum(td[max(0, k - half) : k + half])
         assert window_sum == pytest.approx(amp, rel=5e-3)
     # The dc value of the transmission function fixes the total sum exactly.
     r2 = m.alpha * m.beta
-    assert np.sum(td.values) == pytest.approx(1.0 / (1.0 - r2), rel=1e-12)
+    assert np.sum(td) == pytest.approx(1.0 / (1.0 - r2), rel=1e-12)
 
 
 def test_fourier_window_without_samples_rejected():
@@ -243,7 +243,7 @@ def _fourier_lane():
     """run_allxy's Fourier lane of an X Y pair of 1 ns gates, the lane summed whole from its two
     one-gate convolutions tap by tap, and its sample interval."""
     params, model = QubitParams(), MismatchModel(12.0, 12.0, 0.03)
-    h = impulse_response_fourier(model, 1.0 / params.dt_s, model.transit_s + 8 * model.spacing_s).values
+    h = impulse_response_fourier(model, 1.0 / params.dt_s, model.transit_s + 8 * model.spacing_s)
     n_gate, ds = 2000, params.dt_s / 2
     placed = [(i * n_gate, 1e9 * cmath.exp(1j * (params.omega_q * ds * i * n_gate + phase)))
               for i, phase in enumerate((0.0, math.pi / 2))]
@@ -305,7 +305,7 @@ def test_distort_with_response_matches_taps():
     spacing = 2 * m.length_m / m.v_p
     td = impulse_response_fourier(m, 1.0 / (2 * p.dt_s), m.transit_s + 10 * spacing)
     a = distort(p, taps).samples
-    b = whole_drive_convolution(p.samples, td.values)
+    b = whole_drive_convolution(p.samples, td)
     n = min(a.size, b.size)
     scale = np.max(np.abs(a))
     np.testing.assert_allclose(a[:n] / scale, b[:n] / scale, atol=5e-4)

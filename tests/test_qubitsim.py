@@ -207,7 +207,7 @@ def _xy_60ns_through_taps():
 def _xy_60ns_through_fourier():
     gates = [GateOp("X"), GateOp("Y")]
     wf = qubitsim._sequence_samples(gates, 60e-9, {"X": 1e8, "Y": 1e8}, PARAMS)
-    lane = whole_drive_convolution(wf.samples, _fourier_response(MismatchModel(15.0, 15.0, 0.276)).values)
+    lane = whole_drive_convolution(wf.samples, _fourier_response(MismatchModel(15.0, 15.0, 0.276)))
     return PulseWaveform(wf.dt_s, lane, wf.carrier_hz)
 
 
@@ -695,7 +695,7 @@ def test_warm_60ns_run_allxy_runs_no_fft_at_the_hilbert_length(monkeypatch):
     model, n = MismatchModel(15.0, 15.0, 0.276), 240_001  # samples of a 60 ns XY pair
     for method in ("taps", "fourier"):
         run_allxy(model, 60e-9, PARAMS, method=method)
-    n_h = _fourier_response(model).values.size
+    n_h = _fourier_response(model).size
     size = distortion._fast_len(n // 2 + n_h)
     calls = record_ffts(monkeypatch)
     run_allxy(model, 60e-9, PARAMS, method="taps")
@@ -862,7 +862,7 @@ def _padded_lane_deviations(model, duration_s, pairs, method, drives):
     conftest.tap_lane, or the whole drive convolved by one FFT product), both evolved as sampled
     waveforms. The reference lane is the direct tap padded by np.pad with two zero samples, so its
     last step starts at or just after the tap's last sample, and its lab-frame state is turned
-    freely on to the distorted lane's end time."""
+    freely on to the distorted lane's end time. 1-F is |g_r e_d - e_r g_d|^2, as run_allxy forms it."""
     amplitudes = qubitsim.calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, PARAMS)
     taps = impulse_response_taps(model)
     out = []
@@ -870,15 +870,15 @@ def _padded_lane_deviations(model, duration_s, pairs, method, drives):
         synthesized = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS)
         np.testing.assert_array_equal(wf.samples, synthesized.samples)
         if method == "fourier":
-            dist = whole_drive_convolution(wf.samples, _fourier_response(model).values)
+            dist = whole_drive_convolution(wf.samples, _fourier_response(model))
         else:
             dist = tap_lane(wf, taps)
         ref = np.pad(tap_lane(wf, ImpulseResponse(taps.taps[:1])), (0, 2))
-        g, e = evolve(GROUND, PulseWaveform(wf.dt_s, ref, wf.carrier_hz), PARAMS).amplitudes
+        g_r, e_r = evolve(GROUND, PulseWaveform(wf.dt_s, ref, wf.carrier_hz), PARAMS).amplitudes
+        g_d, e_d = evolve(GROUND, PulseWaveform(wf.dt_s, dist, wf.carrier_hz), PARAMS).amplitudes
         steps = (dist.size - 1) // 2 - (ref.size - 1) // 2
-        ref_state = QubitState(np.array([g, e * cmath.exp(-1j * PARAMS.omega_q * (steps * PARAMS.dt_s))]))
-        dist_state = evolve(GROUND, PulseWaveform(wf.dt_s, dist, wf.carrier_hz), PARAMS)
-        out.append(max(0.0, 1.0 - fidelity(ref_state, dist_state)))
+        e_r = e_r * cmath.exp(-1j * PARAMS.omega_q * (steps * PARAMS.dt_s))
+        out.append(abs(g_r * e_d - e_r * g_d) ** 2)
     return out
 
 
@@ -987,20 +987,24 @@ PARITY_MODELS = {
 
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
-@pytest.mark.parametrize("model", PARITY_MODELS.values(), ids=list(PARITY_MODELS))
+@pytest.mark.parametrize("model", [*PARITY_MODELS.values(), MismatchModel(18.0, 18.0, 0.278)],
+                         ids=[*PARITY_MODELS, "18dB-0.278m"])
 @pytest.mark.parametrize("duration_s", [5e-9, 60e-9, 5.0004e-9])
 def test_run_allxy_meets_the_reference_padded_to_the_distorted_horizon(duration_s, model, method, monkeypatch):
     # the reference run_allxy evolved before: the direct tap zero-padded to the distorted lane's length,
-    # whose lab-frame state ends at the distorted lane's end time. F is a float near 1, so one rounding
-    # of it moves a 1-F of 2e-7 by 1e-9 relative; these pairs' 1-F, 1e-5 and more, hold 1e-10
-    pairs = XY_PAIR if duration_s == 60e-9 else (("X", "Y"), ("Y90", "X"), ("X", "Y90", "Y"))
+    # whose lab-frame state ends at the distorted lane's end time. 1-F = |g_r e_d - e_r g_d|^2 holds its
+    # digits where 1 - F would not (one rounding of F moves a 1-F of 2e-7 by 1e-9 relative)
+    pairs = XY_PAIR if duration_s == 60e-9 else (("X", "Y"), ("Y90", "X"), ("X", "Y90", "Y"), ("I", "Y90"))
     got, lanes = _evolved_lane_pairs(monkeypatch, model, duration_s, pairs, method)
     want = []
     for ref, dist in lanes:
         assert ref.x is dist.x or method == "fourier"
         padded = replace(ref, length=dist.length)
-        want.append(max(0.0, 1.0 - fidelity(evolve(GROUND, padded, PARAMS), evolve(GROUND, dist, PARAMS))))
-    assert min(want) > 1e-5 and len(want) == len(pairs)
+        (g_r, e_r), (g_d, e_d) = (evolve(GROUND, lane, PARAMS).amplitudes for lane in (padded, dist))
+        want.append(abs(g_r * e_d - e_r * g_d) ** 2)
+    assert len(want) == len(pairs)
+    if model.rl1_db == 18.0 and duration_s < 60e-9:
+        assert min(want) < 1e-6  # (I, Y90): 2.5e-7 taps, 2.2e-7 Fourier
     assert all(abs(g - w) <= 1e-10 * w for g, w in zip(got, want, strict=True)), (got, want)
 
 
@@ -1100,7 +1104,7 @@ def test_60ns_run_allxy_peak_memory_with_its_cached_tables():
     tables = qubitsim._quadrature_basis(2, 60e-9, PARAMS).nbytes
     tables += qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2).nbytes
     tables += qubitsim._calibration_probe("X", 60e-9, PARAMS)[0].samples.nbytes
-    size = distortion._fast_len(120_000 + _fourier_response(model).values.size)  # one gate's convolution
+    size = distortion._fast_len(120_000 + _fourier_response(model).size)  # one gate's convolution
     tables += sum(spec.nbytes for spec in qubitsim._gate_spectra(60e-9, PARAMS, size))
     assert peak + tables <= 15e6, (peak, tables)
 
@@ -1128,7 +1132,7 @@ def test_60ns_hilbert_transform_overlaps_no_distorted_lane(method, monkeypatch):
         tracemalloc.stop()
     [(first, frame), (second, _)] = at_entry
     kept = qubitsim._quadrature_basis(2, 60e-9, PARAMS).real.nbytes
-    response = _fourier_response(model).values.nbytes if method == "fourier" else 0
+    response = _fourier_response(model).nbytes if method == "fourier" else 0
     assert first <= frame + response + 0.25e6, (first, frame, response)
     assert second <= frame + kept + response + 0.25e6, (second, frame, kept, response)
 
