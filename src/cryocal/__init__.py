@@ -61,7 +61,6 @@ from .qubitsim import (
     SimulationError,
     calibrate_amplitude,
     evolve,
-    fidelity,
     run_allxy,
     sweep_length,
     sweep_return_loss,

@@ -125,12 +125,6 @@ def _fidelity_request(duration_s: float, params: QubitParams, pairs=XY_PAIR, met
     return [[GateOp(k) for k in pair] for pair in pairs]
 
 
-def fidelity(a: QubitState, b: QubitState) -> float:
-    """Squared overlap |<a|b>|^2; invariant under global phase."""
-    ov = np.vdot(a.amplitudes, b.amplitudes)
-    return float(min(1.0, abs(ov) ** 2))
-
-
 def _truncated_gaussian_envelope(t: np.ndarray, duration: float) -> np.ndarray:
     """Unit-peak Gaussian, sigma = duration/4, baseline-subtracted to zero at the
     edges; every step after ``t - duration/2`` works in place on that one array."""
@@ -146,39 +140,42 @@ def _truncated_gaussian_envelope(t: np.ndarray, duration: float) -> np.ndarray:
 
 
 def _sequence_samples(gates: list[GateOp], duration_s: float, amplitudes: dict[str, float], params: QubitParams) -> PulseWaveform:
-    """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier.
-
-    Every gate lasts round(duration/dt) steps under one symmetric envelope, a
-    Gaussian spanning exactly those steps. Its carrier cos(w_q t + phi) is built in
-    blocks of the carrier table's length: from block start t_b on it is
-    Re(exp(i (w_q t_b + phi)) * table), so no sample takes the cosine of a
-    large argument.
-    """
+    """Back-to-back gate pulses sampled at dt/2 with a coherent lab-frame carrier:
+    :func:`_placed_sum` over the gates' :func:`_placed` copies of the unit gate pulse."""
     _fidelity_request(duration_s, params, [[gate.kind for gate in gates]])  # judges the duration
-    ds = params.dt_s / 2.0
-    n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate
-    x = np.zeros(n_gate * len(gates) + 1)
+    x = _placed_sum(_placed(gates, duration_s, amplitudes, params), len(gates), duration_s, params)
+    return PulseWaveform(params.dt_s / 2.0, x, params.f_q)
+
+
+def _gate_samples(duration_s: float, params: QubitParams) -> int:
+    """Samples per gate at dt/2: round(duration/dt) integrator steps of two samples each."""
+    return int(round(duration_s / params.dt_s)) * 2
+
+
+def _placed(gates: list[GateOp], duration_s: float, amplitudes: dict[str, float], params: QubitParams) -> list:
+    """(p, a) of each gate that is not I: gate i is Re(a u) from sample p = i n_gate on,
+    a = amp exp(i (w_q ds p + phi)), u the unit gate pulse of :func:`_placed_sum`."""
+    n_gate, w, ds = _gate_samples(duration_s, params), params.omega_q, params.dt_s / 2.0
+    return [(p, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * p) + g.phase_rad)))
+            for p, g in zip(range(0, n_gate * len(gates), n_gate), gates) if g.kind != "I"]
+
+
+def _placed_sum(placed, n_gates: int, duration_s: float, params: QubitParams) -> np.ndarray:
+    """Sum of Re(a u) shifted by p over (p, a) in ``placed``, in an ``n_gates``-gate frame, read-only.
+    u[b] = env[b] exp(i w_q ds b), b = 0 .. n_gate, is the unit gate pulse, one symmetric Gaussian
+    envelope spanning exactly round(duration/dt) steps. From carrier-table block start b on, Re(a u)
+    is env Re(a exp(i w_q ds b) table), so no sample takes the cosine of a large argument."""
+    n_gate, w, ds = _gate_samples(duration_s, params), params.omega_q, params.dt_s / 2.0
+    x = np.zeros(n_gate * n_gates + 1)
     env = _truncated_gaussian_envelope(ds * np.arange(n_gate + 1), ds * n_gate)
-    table = _carrier_table(params.omega_q, ds)  # the table evolve uses for these samples
-    for i, gate in enumerate(gates):
-        if gate.kind == "I":
-            continue
-        amp = amplitudes[gate.kind]
-        for b in range(0, n_gate + 1, table.size):
-            c = table[: min(table.size, n_gate + 1 - b)]
-            j0 = i * n_gate + b
-            psi = params.omega_q * (ds * j0) + gate.phase_rad
-            x[j0 : j0 + c.size] += (amp * env[b : b + c.size]) * (math.cos(psi) * c.real - math.sin(psi) * c.imag)
-    x.setflags(write=False)  # built only for the waveform, which adopts it
-    return PulseWaveform(ds, x, params.f_q)
-
-
-def _unit_gate(gate: str, n_gates: int, duration_s: float, params: QubitParams) -> np.ndarray:
-    """The frame Re u ("X") or Im u ("Y") of the unit gate pulse u[b] = env[b] exp(i w_q ds b),
-    b = 0 .. n_gate, leading an ``n_gates``-gate sequence: a unit X gate, or a Y gate scaled by
-    -1, as cos(w t + pi/2) = -sin(w t)."""
-    rest = [GateOp("I")] * (n_gates - 1)
-    return _sequence_samples([GateOp(gate), *rest], duration_s, {gate: 1.0 if gate == "X" else -1.0}, params).samples
+    table = _carrier_table(w, ds)  # the table evolve uses for these samples
+    for b in range(0, n_gate + 1, table.size):
+        c, e, turn = table[: n_gate + 1 - b], env[b : b + table.size], cmath.exp(1j * w * (ds * b))
+        for p, a in placed:
+            z = a * turn
+            x[p + b : p + b + c.size] += e * (z.real * c.real - z.imag * c.imag)
+    x.setflags(write=False)  # so a waveform adopts it without a copy
+    return x
 
 
 @lru_cache(maxsize=2)
@@ -189,14 +186,14 @@ def _quadrature_basis(n_gates: int, duration_s: float, params: QubitParams) -> n
 
     Each gate is Re(a u) with a complex a, shifted by a multiple of n_gate, and the
     circular H is real-linear and commutes with circular shifts, so a drive's H[x] is a
-    sum of shifted copies of Re(a H[u]) (:func:`_basis_quadrature`). Re u and Im u
-    (:func:`_unit_gate`) are each transformed once. The envelope is symmetric, so
+    sum of shifted copies of Re(a H[u]) (:func:`_basis_quadrature`). Re u and Im u = Re(-i u)
+    (:func:`_placed_sum` at a = 1 and -i) are each transformed once. The envelope is symmetric, so
     u(n_gate - b) = t conj(u(b)), t = exp(i w_q ds n_gate), and H is odd under that
     reflection: H[u](c - d) = -t conj(H[u](c + d)), so half the frame holds H[u].
     """
     parts = []
-    for gate in "XY":
-        hu = _hilbert_transform(_unit_gate(gate, n_gates, duration_s, params))
+    for a in (1.0, -1j):
+        hu = _hilbert_transform(_placed_sum([(0, a)], n_gates, duration_s, params))
         c, keep = (hu.size - 1) // n_gates // 2, (hu.size + 1) // 2
         parts.append(hu[c : c + keep].copy())  # frame samples c .. c + keep - 1
         del hu
@@ -231,8 +228,8 @@ def _add_circular(out: np.ndarray, start: int, values: np.ndarray) -> None:
 
 @lru_cache(maxsize=2)
 def _gate_spectra(duration_s: float, params: QubitParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real FFTs at ``size`` of the one-gate frames Re u and Im u (:func:`_unit_gate`), read-only."""
-    spectra = tuple(np.fft.rfft(_unit_gate(gate, 1, duration_s, params), size) for gate in "XY")
+    """Real FFTs at ``size`` of the one-gate frames Re u and Im u (:func:`_placed_sum`), read-only."""
+    spectra = tuple(np.fft.rfft(_placed_sum([(0, a)], 1, duration_s, params), size) for a in (1.0, -1j))
     for spec in spectra:
         spec.setflags(write=False)
     return spectra
@@ -547,7 +544,7 @@ def run_allxy(
 
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
-    drive is synthesized once as placed copies of one gate shape, so a Fourier lane is a tap view of
+    drive is synthesized once from its :func:`_placed` list, so a Fourier lane is a tap view of
     the gate's two convolutions, and its H[x], stored in the drive's quadrature cache for every
     model's tap view, sums the cached basis: no FFT spans a whole drive, a warm call runs no Hilbert
     transform and every lane evolved is a tap view. The order bounds the peak: the first pair's basis
@@ -564,14 +561,12 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
         windows = [m.transit_s + (m.max_reflections + 3) * m.spacing_s for m in models]
         responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w) for m, w in zip(models, windows)]
     w, ds = params.omega_q, params.dt_s / 2.0
-    n_gate = int(round(duration_s / params.dt_s)) * 2  # samples per gate, as _sequence_samples places them
+    n_gate = _gate_samples(duration_s, params)
     turn = cmath.exp(1j * w * (ds * n_gate))
     for j, gates in enumerate(sequences):
         basis = _quadrature_basis(len(gates), duration_s, params)
-        wf = _sequence_samples(gates, duration_s, amplitudes, params)
-        # gate i is Re(a_i u) starting at sample p_i = i n_gate, a_i = amp e^(i (w_q ds p_i + phi))
-        placed = [(i * n_gate, amplitudes[g.kind] * cmath.exp(1j * (w * (ds * (i * n_gate)) + g.phase_rad)))
-                  for i, g in enumerate(gates) if g.kind != "I"]
+        placed = _placed(gates, duration_s, amplitudes, params)
+        wf = PulseWaveform(ds, _placed_sum(placed, len(gates), duration_s, params), params.f_q)
         for i, ladder in enumerate(ladders):
             if responses:
                 lane = _shape_convolution(duration_s, params, n_gate, placed, wf.length, responses[i])

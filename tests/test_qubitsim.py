@@ -22,7 +22,6 @@ from cryocal import (
     SimulationError,
     calibrate_amplitude,
     evolve,
-    fidelity,
     run_allxy,
     sweep_length,
     sweep_return_loss,
@@ -133,6 +132,11 @@ def test_nan_state_rejected():
     # abs(nan - 1) > tol is false: a NaN norm must fail the check, not pass it
     with pytest.raises(SimulationError, match="norm nan"):
         QubitState(np.array([math.nan, 0.0]))
+
+
+def fidelity(a, b):
+    """Squared overlap |<a|b>|^2, clamped to 1; invariant under global phase."""
+    return min(1.0, abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def test_fidelity_properties():
@@ -319,14 +323,16 @@ def test_drive_off_the_half_step_grid_rejected(m):
 
 
 def _direct_sequence(gates, duration_s, amplitudes):
-    """amp * env(t - t0) * cos(w_q t + phi) per gate, each cosine at its full argument."""
+    """amp * env(t - t0) * cos(w_q t + phi) per gate, each cosine at its full argument. Every
+    gate lasts T = round(duration/dt) integrator steps, so t0 = i T for gate i."""
     n_gate = int(round(duration_s / PARAMS.dt_s)) * 2
     t = PARAMS.dt_s / 2 * np.arange(n_gate * len(gates) + 1)
+    span = PARAMS.dt_s / 2 * n_gate
     x = np.zeros(t.size)
     for i, gate in enumerate(gates):
         if gate.kind != "I":
             seg = slice(i * n_gate, (i + 1) * n_gate + 1)
-            env = qubitsim._truncated_gaussian_envelope(t[seg] - i * duration_s, duration_s)
+            env = qubitsim._truncated_gaussian_envelope(t[seg] - i * span, span)
             x[seg] += amplitudes[gate.kind] * env * np.cos(PARAMS.omega_q * t[seg] + gate.phase_rad)
     return x
 
@@ -338,11 +344,18 @@ def assert_matches_direct_sequence(gates, duration_s, amplitudes):
     return got
 
 
-@pytest.mark.parametrize("duration_s", [5e-9, 60e-9])
-@pytest.mark.parametrize("kind", qubitsim.ALLXY_GATES)
-def test_sequence_samples_match_the_direct_carrier(kind, duration_s):
-    got = assert_matches_direct_sequence([GateOp(kind)], duration_s, {kind: 3e8})
-    assert np.any(got) == (kind != "I")
+UNEQUAL = {"I": 0.0, "X": 3e8, "Y": 2e8, "X90": 1.5e8, "Y90": 1e8}
+
+
+@pytest.mark.parametrize(
+    "kinds, duration_s, amplitudes",
+    [pytest.param((k,), d, {k: 3e8}, id=f"{k}-{d}") for k in qubitsim.ALLXY_GATES for d in (5e-9, 60e-9)]
+    + [pytest.param(pair, 5e-9, {k: UNEQUAL[k] for k in pair}, id="-".join(pair) + "-5e-09") for pair in DEFAULT_PAIRS]
+    + [pytest.param(("X", "Y"), d, {"X": 3e8, "Y": 2e8}, id=f"X-Y-{d}") for d in (60e-9, 5.0004e-9)],
+)
+def test_sequence_samples_match_the_direct_carrier(kinds, duration_s, amplitudes):
+    got = assert_matches_direct_sequence([GateOp(k) for k in kinds], duration_s, amplitudes)
+    assert np.any(got) == any(k != "I" for k in kinds)
 
 
 def test_sequence_samples_match_the_direct_carrier_over_many_table_blocks():
@@ -350,6 +363,29 @@ def test_sequence_samples_match_the_direct_carrier_over_many_table_blocks():
     table = qubitsim._carrier_table(PARAMS.omega_q, PARAMS.dt_s / 2)
     assert 120_001 > 3 * table.size
     assert_matches_direct_sequence([GateOp("X"), GateOp("Y")], 60e-9, {"X": 3e8, "Y": 2e8})
+
+
+@pytest.mark.parametrize(
+    "duration_s, pairs",
+    [(5e-9, DEFAULT_PAIRS), (60e-9, XY_PAIR), (5.0004e-9, (("X", "Y90", "Y"),))],
+    ids=["5ns-all-pairs", "60ns-xy", "off-grid-three-gates"],
+)
+def test_drive_is_the_sum_of_its_placed_one_gate_frames(duration_s, pairs):
+    # Re(a u) = Re(a) Re(u) + Re(i a) Im(u): the identity the Fourier lane and the H[x] basis rest on
+    re, im = (qubitsim._placed_sum([(0, a)], 1, duration_s, PARAMS) for a in (1.0, -1j))
+    n_gate, ds = re.size - 1, PARAMS.dt_s / 2
+    env = qubitsim._truncated_gaussian_envelope(ds * np.arange(n_gate + 1), ds * n_gate)
+    u = env * np.exp(1j * PARAMS.omega_q * ds * np.arange(n_gate + 1))
+    assert np.max(np.abs(re + 1j * im - u)) <= 1e-12
+    for pair in pairs:
+        gates = [GateOp(k) for k in pair]
+        placed = qubitsim._placed(gates, duration_s, UNEQUAL, PARAMS)
+        assert [p for p, _ in placed] == [i * n_gate for i, k in enumerate(pair) if k != "I"]
+        x = qubitsim._sequence_samples(gates, duration_s, UNEQUAL, PARAMS).samples
+        want = np.zeros(x.size)
+        for p, a in placed:
+            want[p : p + re.size] += a.real * re + (1j * a).real * im
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(x), initial=0.0)
 
 
 def _envelope_formula(t, duration):
@@ -736,10 +772,9 @@ def test_drive_quadrature_from_the_basis_matches_a_fresh_transform(duration_s, p
 
 
 def _unit_pulse_transform(n_gates, duration_s):
-    """H[u] over the whole frame, u = env exp(i w_q ds b), from two fresh transforms."""
-    frame = lambda gate, amp: qubitsim._sequence_samples(
-        [GateOp(gate)] + [GateOp("I")] * (n_gates - 1), duration_s, {gate: amp}, PARAMS).samples
-    re, im = frame("X", 1.0), frame("Y", -1.0)
+    """H[u] over the whole frame, u = env exp(i w_q ds b), from two fresh transforms of the
+    frames Re u and Im u = Re(-i u) that the library's placed-sum builder synthesizes."""
+    re, im = (qubitsim._placed_sum([(0, a)], n_gates, duration_s, PARAMS) for a in (1.0, -1j))
     return re + 1j * im, distortion._hilbert_transform(re) + 1j * distortion._hilbert_transform(im)
 
 
