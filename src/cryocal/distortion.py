@@ -221,16 +221,6 @@ class PulseWaveform:
         """Samples j0 .. j1 - 1, a view; ``out``, where a :class:`TappedWaveform` sums them, is not used."""
         return self.samples[j0:j1]
 
-    @cached_property
-    def _quadrature(self) -> np.ndarray:
-        """H[x] of the samples, read-only, built once per waveform and shared by every
-        :func:`distort` of it and every read of its tap views. Where H[x] is known
-        another way, it may be stored in this cached property's slot before the
-        first :func:`distort`."""
-        hx = _hilbert_transform(self.samples)
-        hx.setflags(write=False)
-        return hx
-
 
 @dataclass(frozen=True)
 class TappedWaveform:
@@ -272,16 +262,22 @@ def distort(pulse: PulseWaveform, h: ImpulseResponse) -> TappedWaveform:
     eps = delay - m dt is applied as a carrier-phase rotation of that copy,
     Re((x + i H[x]) exp(-i theta)) with theta = 2 pi f eps, which keeps the
     carrier phase exact at delays the sample grid cannot represent (an
-    on-grid tap has theta = 0). The output covers the last tap; H[x] is built
-    here, the sum of x and H[x] only where the :class:`TappedWaveform` is read.
+    on-grid tap has theta = 0). The output covers the last tap; each call builds
+    H[x] afresh, summed with x only where the :class:`TappedWaveform` is read.
     """
+    hx = _hilbert_transform(pulse.samples)
+    hx.setflags(write=False)  # built only for the view, which adopts it
+    return _tap_view(pulse.dt_s, pulse.carrier_hz, pulse.samples, hx, h)
+
+
+def _tap_view(dt_s: float, carrier_hz: float, x: np.ndarray, hx: np.ndarray, h: ImpulseResponse) -> TappedWaveform:
+    """:func:`distort`'s tap view of the drive x at ``dt_s``, given its H[x]: one tap
+    (m, amp cos theta, amp sin theta) per ladder tap, ``x.size`` plus the last shift long."""
     last = max((delay for delay, _ in h.taps), default=0.0)
-    _check_sample_count(pulse.length + last / pulse.dt_s, DistortionError, "the distorted waveform")
+    _check_sample_count(x.size + last / dt_s, DistortionError, "the distorted waveform")
     taps = []
     for delay, amp in h.taps:
-        m = int(round(delay / pulse.dt_s))
-        theta = 2.0 * math.pi * pulse.carrier_hz * (delay - m * pulse.dt_s)
+        m = int(round(delay / dt_s))
+        theta = 2.0 * math.pi * carrier_hz * (delay - m * dt_s)
         taps.append((m, amp * math.cos(theta), amp * math.sin(theta)))
-    length = pulse.length + max((m for m, _, _ in taps), default=0)
-    return TappedWaveform(pulse.dt_s, pulse.samples, pulse._quadrature, tuple(taps), length)
-
+    return TappedWaveform(dt_s, x, hx, tuple(taps), x.size + max((m for m, _, _ in taps), default=0))

@@ -25,8 +25,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .distortion import MismatchModel, PulseWaveform, TappedWaveform, _fast_len, _hilbert_transform
-from .distortion import distort, impulse_response_fourier, impulse_response_taps
+from .distortion import MismatchModel, PulseWaveform, TappedWaveform, _fast_len, _hilbert_transform, _tap_view
+from .distortion import distort, impulse_response_fourier, impulse_response_taps  # distort: not called, kept as perfbench's tracer test reads it
 from .traces import _check_sample_count, _freeze
 
 
@@ -543,12 +543,12 @@ def run_allxy(
 
 
 def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
-    """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's
-    drive is synthesized once from its :func:`_placed` list, so a Fourier lane is a tap view of
-    the gate's two convolutions, and its H[x], stored in the drive's quadrature cache for every
-    model's tap view, sums the cached basis: no FFT spans a whole drive, a warm call runs no Hilbert
-    transform and every lane evolved is a tap view. The order bounds the peak: the first pair's basis
-    before calibration, each basis before its drive, and H[x] after the pair's first Fourier lane."""
+    """:func:`run_allxy`'s 1-F of each (model, pair), shape (len(models), len(pairs)). Each pair's drive x
+    is synthesized once from its :func:`_placed` list, so a Fourier lane is a tap view of the gate's two
+    convolutions, and H[x] sums the cached basis: every model's :func:`_tap_view` of x and H[x] is built
+    with no FFT over a whole drive, a warm call runs no Hilbert transform, and every lane evolved is a tap
+    view of odd length, so evolve integrates every sample. The order bounds the peak: the first pair's
+    basis before calibration, each basis before its drive, H[x] after the pair's first Fourier lane."""
     sequences = _fidelity_request(duration_s, params, pairs, method)
     out = np.zeros((len(models), len(sequences)))
     if not models:
@@ -560,26 +560,26 @@ def _deviations(models, duration_s, params, pairs, method) -> np.ndarray:
     if method == "fourier":  # the waveform is sampled at dt/2, so f_max = 1/dt
         windows = [m.transit_s + (m.max_reflections + 3) * m.spacing_s for m in models]
         responses = [impulse_response_fourier(m, 1.0 / params.dt_s, w) for m, w in zip(models, windows)]
-    w, ds = params.omega_q, params.dt_s / 2.0
-    n_gate = _gate_samples(duration_s, params)
+    w, ds, n_gate = params.omega_q, params.dt_s / 2.0, _gate_samples(duration_s, params)
     turn = cmath.exp(1j * w * (ds * n_gate))
     for j, gates in enumerate(sequences):
         basis = _quadrature_basis(len(gates), duration_s, params)
         placed = _placed(gates, duration_s, amplitudes, params)
-        wf = PulseWaveform(ds, _placed_sum(placed, len(gates), duration_s, params), params.f_q)
+        x = _placed_sum(placed, len(gates), duration_s, params)
         for i, ladder in enumerate(ladders):
             if responses:
-                lane = _shape_convolution(duration_s, params, n_gate, placed, wf.length, responses[i])
+                lane = _shape_convolution(duration_s, params, n_gate, placed, x.size, responses[i])
             if i == 0:
-                vars(wf)["_quadrature"] = _basis_quadrature(basis, wf.length, n_gate, placed, turn)
-            view = distort(wf, ladder)
+                hx = _basis_quadrature(basis, x.size, n_gate, placed, turn)
+            view = _tap_view(ds, params.f_q, x, hx, ladder)
             dist_wf = lane if responses else view
-            # the direct tap alone to one step past its last sample, then turned freely to the distorted lane's end
-            ref_wf = replace(view, taps=view.taps[:1], length=view.taps[0][0] + wf.length + 2)
+            dist_wf = replace(dist_wf, length=dist_wf.length | 1)  # odd, so evolve integrates its last sample
+            # the direct tap alone to one step past its last sample, odd too, then turned freely to the distorted lane's end
+            ref_wf = replace(view, taps=view.taps[:1], length=(view.taps[0][0] + x.size + 1) | 1)
             g_r, e_r = evolve(GROUND, ref_wf, params).amplitudes
             g_d, e_d = evolve(GROUND, dist_wf, params).amplitudes
-            steps = (dist_wf.length - 1) // 2 - (ref_wf.length - 1) // 2
-            e_r = e_r * cmath.exp(-1j * w * (steps * params.dt_s))
+            t_r, t_d = ((wf.length - 1) // 2 * params.dt_s for wf in (ref_wf, dist_wf))  # the times evolve ends them at
+            e_r = e_r * cmath.exp(1j * w * t_r) * cmath.exp(-1j * w * t_d)  # its own turn undone, e_d's applied: the same float
             # for unit 2-vectors 1 - |<ref|dist>|^2 = |g_r e_d - e_r g_d|^2, with no cancellation against 1
             out[i, j] = abs(g_r * e_d - e_r * g_d) ** 2
     return out

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid, QubitState, qubitsim
+from cryocal import ComplexTrace, ErrorModelOnePort, FrequencyGrid, QubitState, distortion, qubitsim
 
 
-def tap_lane(pulse, h) -> np.ndarray:
+def tap_lane(pulse, h, hx=None) -> np.ndarray:
     """The lane ``distort(pulse, h)`` stands for, summed whole into one array that covers the
     last tap: each tap delay rounded to sample m, its copy rotated by theta = 2 pi f (delay - m dt)
-    through the pulse's H[x] and added in ladder order."""
-    x, hx = pulse.samples, pulse._quadrature
+    through H[x] and added in ladder order. H[x] is ``hx`` if given, else a fresh transform."""
+    x = pulse.samples
+    hx = distortion._hilbert_transform(x) if hx is None else hx
     y = np.zeros(x.size + max((int(round(delay / pulse.dt_s)) for delay, _ in h.taps), default=0))
     for delay, amp in h.taps:
         m = int(round(delay / pulse.dt_s))

@@ -222,15 +222,17 @@ def test_distort_subsample_delay_phase():
     np.testing.assert_allclose(out.samples[mid], direct[mid], atol=2e-3 * np.max(np.abs(p.samples)))
 
 
-def test_distort_shares_analytic_signal_bitwise():
-    # the direct tap and the full ladder of one pulse reuse its quadrature H[x]
+def test_distort_transforms_each_call_afresh_to_the_same_bits():
+    # every distort of a pulse runs its own H[x], and the same samples give the same H[x] and lane
     m = MismatchModel(12.0, 12.0, 0.3)
     p = carrier_pulse()
     taps = impulse_response_taps(m)
-    distort(p, ImpulseResponse(taps=taps.taps[:1]))
-    shared = distort(p, taps).samples
-    fresh = distort(PulseWaveform(p.dt_s, p.samples, p.carrier_hz), taps).samples
-    np.testing.assert_array_equal(shared, fresh)
+    direct = distort(p, ImpulseResponse(taps=taps.taps[:1]))
+    ladder = distort(p, taps)
+    fresh = distort(PulseWaveform(p.dt_s, p.samples, p.carrier_hz), taps)
+    assert direct.y is not ladder.y and not ladder.y.flags.writeable
+    np.testing.assert_array_equal(ladder.y, _hilbert_transform(p.samples))
+    np.testing.assert_array_equal(ladder.samples, fresh.samples)
 
 
 def _distorted_lane(taps):
@@ -320,7 +322,7 @@ def test_analytic_signal_matches_dft_construction(n):
     dft = np.exp(-2j * math.pi * np.outer(k, k) / n)
     weight = np.where((k == 0) | (2 * k == n), 1.0, np.where(2 * k < n, 2.0, 0.0))
     want = np.conj(dft) @ (weight * (dft @ x)) / n
-    got = PulseWaveform(1e-12, x, 0.0)._quadrature
+    got = _hilbert_transform(x)
     np.testing.assert_allclose(got, want.imag, rtol=0, atol=1e-13)
 
 

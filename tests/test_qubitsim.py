@@ -691,7 +691,7 @@ def test_zero_distortion_simulates_nothing(monkeypatch):
 
 def _count_hilbert_transforms(monkeypatch):
     """Sizes of the Hilbert transforms run from now on: qubitsim's basis builds and
-    any waveform's own quadrature."""
+    each distort's H[x]."""
     calls = []
     hilbert = distortion._hilbert_transform
 
@@ -741,18 +741,24 @@ def test_warm_60ns_run_allxy_runs_no_fft_at_the_hilbert_length(monkeypatch):
     assert size < n + n_h - 1
 
 
-def _synthesized_drives(monkeypatch, model, duration_s, pairs, method="taps"):
-    """run_allxy's 1-F and every drive it distorts, once each and in order, each carrying
-    in its quadrature cache the H[x] it was distorted with."""
-    seen = {}
+def _tap_views(monkeypatch, model, duration_s, pairs, method="taps"):
+    """run_allxy's 1-F and (x, H[x], view) of every tap view it builds, in order: one per pair."""
+    built = []
+    tap_view = qubitsim._tap_view
 
-    def spy(pulse, h):
-        seen[id(pulse)] = pulse  # holding the pulse keeps its id unique
-        return distort(pulse, h)
+    def spy(dt_s, carrier_hz, x, hx, h):
+        built.append((x, hx, tap_view(dt_s, carrier_hz, x, hx, h)))
+        return built[-1][2]
 
-    monkeypatch.setattr(qubitsim, "distort", spy)
+    monkeypatch.setattr(qubitsim, "_tap_view", spy)
     got = run_allxy(model, duration_s, PARAMS, pairs=pairs, method=method)
-    return got, list(seen.values())
+    return got, built
+
+
+def _synthesized_drives(monkeypatch, model, duration_s, pairs, method="taps"):
+    """run_allxy's 1-F and (x, H[x]) of every drive it builds tap views of, in order: one per pair."""
+    got, built = _tap_views(monkeypatch, model, duration_s, pairs, method)
+    return got, [(x, hx) for x, hx, _ in built]
 
 
 @pytest.mark.parametrize(
@@ -762,13 +768,20 @@ def _synthesized_drives(monkeypatch, model, duration_s, pairs, method="taps"):
     ids=["5ns-all-pairs", "5ns-three-gates", "5ns-identity", "60ns-xy", "off-grid"],
 )
 def test_drive_quadrature_from_the_basis_matches_a_fresh_transform(duration_s, pairs, monkeypatch):
-    _, drives = _synthesized_drives(monkeypatch, MismatchModel(15.0, 15.0, 0.276), duration_s, pairs)
-    assert len(drives) == len(pairs)
-    for x, hx in ((wf.samples, wf._quadrature) for wf in drives):
+    # H[x] summed from the basis is a fresh transform within rounding, and so the tap view
+    # run_allxy builds of a drive is distort's view of that drive: the same taps and length
+    model = MismatchModel(15.0, 15.0, 0.276)
+    _, views = _tap_views(monkeypatch, model, duration_s, pairs)
+    assert len(views) == len(pairs)
+    for x, hx, view in views:
         fresh = distortion._hilbert_transform(x)
         assert np.max(np.abs(hx - fresh)) <= 1e-12 * np.max(np.abs(x)), np.max(np.abs(hx - fresh)) / np.max(np.abs(x))
         if not np.any(x):
             assert not np.any(hx)
+        want = distort(PulseWaveform(PARAMS.dt_s / 2, x, PARAMS.f_q), impulse_response_taps(model))
+        assert view.taps == want.taps and view.length == want.length
+        err = np.max(np.abs(view.samples - want.samples))
+        assert err <= 1e-12 * np.max(np.abs(want.samples)), err / np.max(np.abs(want.samples))
 
 
 def _unit_pulse_transform(n_gates, duration_s):
@@ -819,37 +832,48 @@ def test_calibration_alone_builds_no_quadrature_basis():
     assert qubitsim._quadrature_basis.cache_info().misses == 0
 
 
-def test_replaced_or_hand_built_waveform_runs_its_own_transform(monkeypatch):
-    _, [wf] = _synthesized_drives(monkeypatch, MismatchModel(15.0, 15.0, 0.276), 5e-9, XY_PAIR)
-    calls = _count_hilbert_transforms(monkeypatch)
-    others = [replace(wf, samples=2 * wf.samples), PulseWaveform(wf.dt_s, wf.samples, wf.carrier_hz)]
-    for other in others:
-        np.testing.assert_array_equal(other._quadrature, distortion._hilbert_transform(other.samples))
-    assert len(calls) == 4  # one per waveform, one per oracle
-    wf._quadrature  # the synthesized drive reads the H[x] summed from its basis
-    assert len(calls) == 4
-
-
 @pytest.mark.parametrize("method", ["taps", "fourier"])
 def test_run_allxy_waveforms_adopt_the_arrays_built_for_them(method, monkeypatch):
-    # gate synthesis and the calibration probes build each array only for its waveform, so nothing
-    # is copied. A tap lane, a Fourier lane and the reference lane are no array at all: each is a
-    # tap view, read chunk by chunk
-    frozen = []
+    # the calibration probes build each array only for their waveform, so nothing is copied. A tap
+    # lane, a Fourier lane and the reference lane are no array at all: each is a tap view, read chunk
+    # by chunk, that holds the drive and the H[x] built for it (a Fourier lane: one gate's two
+    # convolutions, shorter than the lane)
+    frozen, built, evolved = [], [], []
     freeze = distortion._freeze
 
-    def spy(a, dtype=None):
+    def freeze_spy(a, dtype=None):
         out = freeze(a, dtype)
         frozen.append((out is a, out.size))
         return out
 
-    monkeypatch.setattr(distortion, "_freeze", spy)
+    def recorded(fn):
+        def spy(*args):
+            built.append(fn(*args))
+            return built[-1]
+
+        return spy
+
+    def evolve_spy(state, waveform, params, **kwargs):
+        evolved.append(waveform)
+        return evolve(state, waveform, params, **kwargs)
+
+    monkeypatch.setattr(distortion, "_freeze", freeze_spy)
+    for name in ("_placed_sum", "_basis_quadrature"):
+        monkeypatch.setattr(qubitsim, name, recorded(getattr(qubitsim, name)))
+    monkeypatch.setattr(qubitsim, "evolve", evolve_spy)
     pairs = (("X", "Y"), ("Y90", "X"))
     run_allxy(MismatchModel(15.0, 15.0, 0.276), 5e-9, PARAMS, pairs=pairs, method=method)
     drive = 20_001  # samples of a 5 ns pair's drive; a Fourier lane is longer
     assert all(adopted for adopted, _ in frozen)
-    lanes = [size for _, size in frozen if size > drive]
-    assert len(frozen) > 10 and lanes == []
+    assert frozen and [size for _, size in frozen if size > drive] == []  # the calibration probes
+    lanes = [wf for wf in evolved if isinstance(wf, distortion.TappedWaveform)]
+    assert len(lanes) == 2 * len(pairs)
+    for ref, dist in zip(lanes[::2], lanes[1::2]):
+        assert any(ref.x is a for a in built) and any(ref.y is a for a in built)
+        if method == "taps":
+            assert dist.x is ref.x and dist.y is ref.y
+        else:
+            assert dist.x.size == dist.y.size < dist.length
 
 
 def _fourier_response(model):
@@ -869,7 +893,7 @@ def _synthesized_fourier_lanes(monkeypatch, model, duration_s, pairs):
 
     monkeypatch.setattr(qubitsim, "_shape_convolution", spy)
     _, drives = _synthesized_drives(monkeypatch, model, duration_s, pairs, method="fourier")
-    return [(wf.samples, h, y) for wf, (h, y) in zip(drives, seen, strict=True)]
+    return [(x, h, y) for (x, _), (h, y) in zip(drives, seen, strict=True)]
 
 
 @pytest.mark.parametrize(
@@ -892,27 +916,29 @@ def test_gate_shape_convolution_matches_the_whole_drive_fft(duration_s, pairs, m
 
 
 def _padded_lane_deviations(model, duration_s, pairs, method, drives):
-    """run_allxy's 1-F by the path it replaced, from the ``drives`` it distorted (each the pair's
-    synthesized drive, H[x] from its basis): each lane an array (the taps summed whole by
-    conftest.tap_lane, or the whole drive convolved by one FFT product), both evolved as sampled
-    waveforms. The reference lane is the direct tap padded by np.pad with two zero samples, so its
-    last step starts at or just after the tap's last sample, and its lab-frame state is turned
-    freely on to the distorted lane's end time. 1-F is |g_r e_d - e_r g_d|^2, as run_allxy forms it."""
+    """run_allxy's 1-F by the path it replaced, from the (x, H[x]) ``drives`` it built tap views of
+    (each the pair's synthesized drive, H[x] from its basis): each lane an array (the taps summed
+    whole by conftest.tap_lane, or the whole drive convolved by one FFT product), padded with a zero
+    sample to odd length, both evolved as sampled waveforms. The reference lane is the direct tap
+    padded by np.pad with two zero samples, so its last step starts at or just after the tap's last
+    sample, and its lab-frame state is turned freely on to the distorted lane's end time: its own
+    turn undone and the distorted lane's applied. 1-F is |g_r e_d - e_r g_d|^2, as run_allxy forms it."""
     amplitudes = qubitsim.calibrated_amplitudes({k for pair in pairs for k in pair}, duration_s, PARAMS)
     taps = impulse_response_taps(model)
     out = []
-    for pair, wf in zip(pairs, drives, strict=True):
-        synthesized = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS)
-        np.testing.assert_array_equal(wf.samples, synthesized.samples)
+    for pair, (x, hx) in zip(pairs, drives, strict=True):
+        wf = qubitsim._sequence_samples([GateOp(k) for k in pair], duration_s, amplitudes, PARAMS)
+        np.testing.assert_array_equal(x, wf.samples)
         if method == "fourier":
-            dist = whole_drive_convolution(wf.samples, _fourier_response(model))
+            dist = whole_drive_convolution(x, _fourier_response(model))
         else:
-            dist = tap_lane(wf, taps)
-        ref = np.pad(tap_lane(wf, ImpulseResponse(taps.taps[:1])), (0, 2))
+            dist = tap_lane(wf, taps, hx)
+        dist = np.pad(dist, (0, (dist.size | 1) - dist.size))
+        ref = np.pad(tap_lane(wf, ImpulseResponse(taps.taps[:1]), hx), (0, 2))
         g_r, e_r = evolve(GROUND, PulseWaveform(wf.dt_s, ref, wf.carrier_hz), PARAMS).amplitudes
         g_d, e_d = evolve(GROUND, PulseWaveform(wf.dt_s, dist, wf.carrier_hz), PARAMS).amplitudes
-        steps = (dist.size - 1) // 2 - (ref.size - 1) // 2
-        e_r = e_r * cmath.exp(-1j * PARAMS.omega_q * (steps * PARAMS.dt_s))
+        t_r, t_d = ((lane.size - 1) // 2 * PARAMS.dt_s for lane in (ref, dist))
+        e_r = e_r * cmath.exp(1j * PARAMS.omega_q * t_r) * cmath.exp(-1j * PARAMS.omega_q * t_d)
         out.append(abs(g_r * e_d - e_r * g_d) ** 2)
     return out
 
@@ -962,38 +988,44 @@ def test_on_grid_lanes_end_on_zero_samples(monkeypatch):
     # on 0.0, so the evolved lanes end on zero samples: with m0 + n odd (3,000 + 20,001 here) the
     # reference lane's last step then reads zeros only, and is integrated as the identity
     model = MismatchModel(15.0, 15.0, 0.3, v_p=2e8)
-    _, [wf] = _synthesized_drives(monkeypatch, model, 5e-9, XY_PAIR)
+    _, [(x, hx)] = _synthesized_drives(monkeypatch, model, 5e-9, XY_PAIR)
     taps = impulse_response_taps(model)
-    for lane in (distort(wf, taps), distort(wf, ImpulseResponse(taps.taps[:1]))):
+    for ladder in (taps, ImpulseResponse(taps.taps[:1])):
+        lane = distortion._tap_view(PARAMS.dt_s / 2, PARAMS.f_q, x, hx, ladder)
         assert lane.samples[-1] == 0.0 and lane.samples[-2] != 0.0
 
 
 @pytest.mark.parametrize("method", ["taps", "fourier"])
 def test_reference_lane_is_the_distorted_views_direct_tap(method, monkeypatch):
-    # one distort per (pair, model): the reference lane is that tap view's direct tap, one step
-    # past its last sample, the same bits as the direct tap distorted alone, padded by two zeros
+    # one tap view per (pair, model): the reference lane is that view's direct tap, one step past
+    # its last sample, the same bits as the direct tap summed alone, padded with zeros to odd length
     events = []
+    tap_view = qubitsim._tap_view
 
-    def distort_spy(pulse, h):
-        events.append(("distort", pulse, h))
-        return distort(pulse, h)
+    def view_spy(dt_s, carrier_hz, x, hx, h):
+        events.append(("view", PulseWaveform(dt_s, x, carrier_hz), hx, h))
+        return tap_view(dt_s, carrier_hz, x, hx, h)
 
     def evolve_spy(state, waveform, params, **kwargs):
         events.append(("evolve", waveform))
         return evolve(state, waveform, params, **kwargs)
 
-    monkeypatch.setattr(qubitsim, "distort", distort_spy)
+    monkeypatch.setattr(qubitsim, "_tap_view", view_spy)
     monkeypatch.setattr(qubitsim, "evolve", evolve_spy)
     pairs = (("X", "Y"), ("Y90", "X"))
-    sweep_return_loss(MismatchModel(15.0, 15.0, 0.276), np.array([12.0, 15.0, 18.0]), 5e-9, PARAMS, pairs=pairs, method=method)
-    first = next(k for k, event in enumerate(events) if event[0] == "distort")  # after the calibration probes
+    lengths_m = np.array([0.274, 0.276, 0.282])  # the direct tap's shift m0 is odd at 0.274 m, even at the others
+    sweep_length(MismatchModel(15.0, 15.0, 0.276), lengths_m, 5e-9, PARAMS, pairs=pairs, method=method)
+    first = next(k for k, event in enumerate(events) if event[0] == "view")  # after the calibration probes
     runs = [events[k : k + 3] for k in range(first, len(events), 3)]
-    assert sum(event[0] == "distort" for event in events) == len(runs) == 2 * 3
-    for (kind, pulse, h), (_, ref), (_, dist) in runs:
-        assert kind == "distort" and ref.x is pulse.samples
-        direct = tap_lane(pulse, ImpulseResponse(h.taps[:1]))  # m0 + n samples
-        assert ref.length == direct.size + 2 < dist.length
-        assert ref.samples.tobytes() == np.pad(direct, (0, 2)).tobytes()
+    assert sum(event[0] == "view" for event in events) == len(runs) == 2 * 3
+    lengths = set()
+    for (kind, pulse, hx, h), (_, ref), (_, dist) in runs:
+        assert kind == "view" and ref.x is pulse.samples and ref.y is hx
+        direct = tap_lane(pulse, ImpulseResponse(h.taps[:1]), hx)  # m0 + n samples
+        assert ref.length == (direct.size + 1) | 1 < dist.length
+        assert ref.samples.tobytes() == np.pad(direct, (0, ref.length - direct.size)).tobytes()
+        lengths.add(ref.length - direct.size)
+    assert lengths == {1, 2}
 
 
 def _evolved_lane_pairs(monkeypatch, model, duration_s, pairs, method):
@@ -1075,6 +1107,25 @@ def test_run_allxy_evolves_every_lane_forward_to_a_driven_last_step(duration_s, 
         assert starts == list(range(0, 2 * n_steps, 2 * qubitsim._CHUNK))
         last = wf.read(2 * n_steps - 2, 2 * n_steps + 1, np.empty(3))
         assert np.any(last), (wf.length, last)
+
+
+@pytest.mark.parametrize("method", ["taps", "fourier"])
+@pytest.mark.parametrize("length_m", [0.270, 0.274, 0.282])
+def test_run_allxy_evolves_only_odd_length_lanes(length_m, method, monkeypatch):
+    # evolve integrates (length - 1) // 2 steps, so an even-length lane's last sample would be left out.
+    # The last tap's shift m5 is odd at these lengths, so a tap lane (n + m5 samples, n odd) and every
+    # Fourier lane (n + h.size - 1) are even until run_allxy pads them with one zero sample; the
+    # reference lane is (m0 + n + 1) | 1 samples, m0 odd at 0.270 and 0.274 m and even at 0.282 m
+    lengths = []
+
+    def evolve_spy(state, waveform, params, **kwargs):
+        lengths.append(waveform.length)
+        return evolve(state, waveform, params, **kwargs)
+
+    monkeypatch.setattr(qubitsim, "evolve", evolve_spy)
+    pairs = (("X", "Y"), ("Y90", "X"))
+    run_allxy(MismatchModel(15.0, 15.0, length_m), 5e-9, PARAMS, pairs=pairs, method=method)
+    assert len(lengths) > 2 * len(pairs) and all(n % 2 for n in lengths), lengths
 
 
 def test_warm_run_allxy_builds_no_tap_lane(monkeypatch):
