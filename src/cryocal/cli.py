@@ -168,6 +168,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict[str, Path], output
 
 
 _NUMBER = "%.9g"  # 9 significant digits keep the CSVs regression-stable; inf prints as inf
+_CSV_ROWS = 1024  # rows formatted and written at a time, so no whole table of row strings exists
 
 
 def _write_csv(path: Path, header: list[str], *columns):
@@ -175,10 +176,13 @@ def _write_csv(path: Path, header: list[str], *columns):
 
     A column of strings is written as text (``%s``), any other as numbers (``_NUMBER``).
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    row = ",".join("%s" if c and isinstance(c[0], str) else _NUMBER for c in columns)
-    lines = [",".join(header)] + [row % r for r in zip(*columns)]
-    path.write_text("\n".join(lines) + "\n")
+    row = ",".join("%s" if len(c) and isinstance(c[0], str) else _NUMBER for c in columns) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            block = (c[start:start + _CSV_ROWS] for c in columns)
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            fh.write("".join(row % r for r in zip(*block)))
 
 
 # ------------------------------------------------------------- subcommands
@@ -203,6 +207,7 @@ def cmd_cal(cfg: dict, out: Path, args) -> tuple[dict[str, Path], list[Path]]:
                 f"{dut_path.stem!r}: both would be written to corrected_{dut_path.stem}.s1p"
             )
     model = solve_error_model(StandardsSet(**traces))
+    del traces  # the six standards' traces need not stay alive beside each DUT's
 
     error_csv = out / "error_model.csv"
     _write_csv(

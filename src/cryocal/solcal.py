@@ -25,6 +25,9 @@ from .traces import ComplexTrace, FrequencyGrid, _freeze, require_same_grid
 # Minimum pairwise separation of the defined standards; below this the
 # per-frequency system is singular.
 MIN_STANDARD_SEPARATION = 1e-6
+# Frequencies whose 3x3 systems are built, checked and solved at a time; each
+# matrix is solved alone either way, so the block size changes no bit.
+_BLOCK = 1024
 
 
 class CalibrationError(ValueError):
@@ -96,37 +99,27 @@ class ErrorModelOnePort:
 
 
 def solve_error_model(standards: StandardsSet) -> ErrorModelOnePort:
-    """Solve (e00, delta_e, e11) exactly from the three standards."""
+    """Solve (e00, delta_e, e11) exactly from the three standards, ``_BLOCK`` frequencies at a time."""
     grid = standards.grid
-    n = grid.count
-    gammas = np.stack(
-        [
-            standards.defined_short.values,
-            standards.defined_open.values,
-            standards.defined_load.values,
-        ]
-    )  # (3, n)
-    ms = np.stack(
-        [
-            standards.measured_short.values,
-            standards.measured_open.values,
-            standards.measured_load.values,
-        ]
-    )
+    defined = (standards.defined_short.values, standards.defined_open.values, standards.defined_load.values)
+    measured = (standards.measured_short.values, standards.measured_open.values, standards.measured_load.values)
+    sol = np.empty((grid.count, 3), dtype=complex)
+    for start in range(0, grid.count, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        gammas = np.stack([v[block] for v in defined])  # (3, block)
+        ms = np.stack([v[block] for v in measured])
+        a = np.empty((gammas.shape[1], 3, 3), dtype=complex)
+        a[:, :, 0] = 1.0
+        a[:, :, 1] = -gammas.T
+        a[:, :, 2] = (gammas * ms).T
 
-    a = np.empty((n, 3, 3), dtype=complex)
-    a[:, :, 0] = 1.0
-    a[:, :, 1] = -gammas.T
-    a[:, :, 2] = (gammas * ms).T
-    rhs = ms.T
-
-    dets = np.linalg.det(a)
-    # scale-aware singularity test; the rows are O(1) in reflection space
-    bad = np.flatnonzero(np.abs(dets) < 1e-12)
-    if bad.size:
-        f = grid.frequencies[bad[0]]
-        raise CalibrationError(f"singular standards system at {f:.6g} Hz")
-    sol = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+        dets = np.linalg.det(a)
+        # scale-aware singularity test; the rows are O(1) in reflection space
+        bad = np.flatnonzero(np.abs(dets) < 1e-12)
+        if bad.size:
+            f = grid.frequencies[start + bad[0]]
+            raise CalibrationError(f"singular standards system at {f:.6g} Hz")
+        sol[block] = np.linalg.solve(a, ms.T[:, :, None])[:, :, 0]
     return ErrorModelOnePort(grid, e00=sol[:, 0], delta_e=sol[:, 1], e11=sol[:, 2])
 
 

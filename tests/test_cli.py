@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import cryocal
 from cryocal import (
     XY_PAIR,
     ComplexTrace,
+    ErrorModelOnePort,
     GateSpec,
     MismatchModel,
     QubitParams,
@@ -26,6 +28,7 @@ from cryocal import (
     sweep_return_loss,
     write_touchstone,
 )
+from cryocal import cli
 from cryocal.cli import CROSSING_THRESHOLDS, _gate_from_config, _mismatch_model, _read_ecal_table, main
 from cryocal.distortion import C_VACUUM
 
@@ -981,6 +984,68 @@ def test_mutated_ecal_table_keeps_exit_code_contract(s1p_work, kind, data):
 
 
 # ------------------------------------------------------ CSV text contract
+
+
+def one_shot_csv(header, *columns):
+    """The table as one text: every row formatted, then joined, as the writer did before it wrote row blocks."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join("%s" if c and isinstance(c[0], str) else "%.9g" for c in columns)
+    return "\n".join([",".join(header)] + [row % r for r in zip(*columns)]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS - 1, cli._CSV_ROWS, cli._CSV_ROWS + 1, 2 * cli._CSV_ROWS + 5])
+def test_csv_written_in_row_blocks_is_the_one_shot_join(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    header = ["freq_hz", "rl_db", "pair", "crossing", "threshold", "index"]
+    columns = (
+        rng.normal(size=rows) * 10.0 ** rng.integers(-15, 15, size=rows),  # ndarray
+        [math.inf if i % 7 == 3 else -0.0 if i % 7 == 5 else i / 3 for i in range(rows)],  # a list with inf
+        [("XY", "X90Y90", "IY90")[i % 3] for i in range(rows)],  # a str column
+        ["" if i % 4 == 0 else "%.9g" % (17.0 - i / 9) for i in range(rows)],  # '' cells as in crossings.csv
+        CROSSING_THRESHOLDS * ((rows + 1) // 2),  # a tuple, one row longer for an odd count
+        np.arange(rows),  # integers
+    )
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, header, *columns)
+    assert path.read_bytes() == one_shot_csv(header, *columns).encode()
+
+
+def test_wide_cal_run_traced_peak(tmp_path):
+    # measured 4.00 MB, numpy 2.4, set by a Touchstone read (the sixth standard's, beside five parsed traces), under a
+    # bound 0.4 MB above; 7.48 MB when error_model.csv was formatted whole (its tolist() columns, 10,597 row strings
+    # and their join alive at once)
+    f = WIDE.frequencies
+    rng = np.random.default_rng(11)
+    box = ErrorModelOnePort(
+        grid=WIDE,
+        e00=0.05 * np.exp(-2j * math.pi * f * 0.3e-9),
+        e11=0.1 * np.exp(-2j * math.pi * f * 0.2e-9 + 1j),
+        delta_e=-0.8 * np.exp(-2j * math.pi * f * 2e-9),
+    )
+    defined = {
+        "short": -0.995 * np.exp(-2j * math.pi * f * 15e-12),
+        "open": 0.998 * np.exp(-2j * math.pi * f * 12e-12),
+        "load": 0.005 + 0.003 * (rng.normal(size=f.size) + 1j * rng.normal(size=f.size)),
+    }
+    standards = {}
+    for name, gamma in defined.items():
+        tr = ComplexTrace(grid=WIDE, values=gamma)
+        standards[name] = {
+            "defined": write_trace(tmp_path / f"{name}_def.s1p", tr),
+            "measured": write_trace(tmp_path / f"{name}_meas.s1p", forward_model(box, tr)),
+        }
+    dut = write_trace(tmp_path / "dut.s1p", forward_model(box, reflector_trace(WIDE, [(0.3, 1e-9)])))
+    cfg = tmp_path / "cal.json"
+    cfg.write_text(json.dumps({"standards": standards, "duts": [dut]}))
+    argv = ["cal", "--config", cfg, "--out", tmp_path / "out"]
+    assert run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.4e6, peak
 
 
 def test_empty_rows_give_a_header_only_table(tmp_path):

@@ -16,6 +16,7 @@ from cryocal import (
     forward_model,
     solve_error_model,
 )
+from cryocal import solcal
 
 from conftest import aligned_grid, constant_error_model
 
@@ -218,3 +219,62 @@ def test_singular_forward_model_and_correction_name_the_frequency():
     # m*e11 - delta_e = 0 at m = 0.5, the second point
     with pytest.raises(CalibrationError, match="^correction singular at 2e[+]07 Hz$"):
         apply_correction(model, ComplexTrace(grid, np.array([0.0, 0.5, 0.0, 0.0])))
+
+
+def random_standards(grid, seed):
+    """Data-based definitions and their measurements through a frequency-dependent error box."""
+    rng = np.random.default_rng(seed)
+    n = grid.count
+    f = grid.frequencies
+    box = ErrorModelOnePort(
+        grid=grid,
+        e00=0.05 * np.exp(-2j * np.pi * f * 0.3e-9) + 0.01 * rng.normal(size=n),
+        e11=0.1 * np.exp(-2j * np.pi * f * 0.2e-9 + 1j) + 0.01 * rng.normal(size=n),
+        delta_e=-0.8 * np.exp(-2j * np.pi * f * 2e-9) + 0.01 * rng.normal(size=n),
+    )
+    defs = {
+        "short": -0.995 * np.exp(-2j * np.pi * f * 15e-12),
+        "open": 0.998 * np.exp(-2j * np.pi * f * 12e-12),
+        "load": 0.005 + 0.003 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+    }
+    return standards_through(box, {k: ComplexTrace(grid=grid, values=v) for k, v in defs.items()})
+
+
+def whole_array_solution(standards):
+    """(e00, delta_e, e11) from one ``np.linalg.solve`` over every frequency's 3x3 system at once."""
+    gammas = np.stack([standards.defined_short.values, standards.defined_open.values, standards.defined_load.values])
+    ms = np.stack([standards.measured_short.values, standards.measured_open.values, standards.measured_load.values])
+    a = np.empty((gammas.shape[1], 3, 3), dtype=complex)
+    a[:, :, 0] = 1.0
+    a[:, :, 1] = -gammas.T
+    a[:, :, 2] = (gammas * ms).T
+    return np.linalg.solve(a, ms.T[:, :, None])[:, :, 0].T
+
+
+def test_blocked_solve_is_the_whole_array_solve_bit_for_bit():
+    grid = aligned_grid(count=2650)
+    assert grid.count > 2 * solcal._BLOCK  # two whole blocks and a partial one
+    standards = random_standards(grid, 37)
+    solved = solve_error_model(standards)
+    for got, want in zip((solved.e00, solved.delta_e, solved.e11), whole_array_solution(standards)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_singular_system_past_the_first_block_names_its_first_frequency():
+    grid = aligned_grid(count=2650)
+    first, second = solcal._BLOCK + 7, 2 * solcal._BLOCK + 3
+    standards = random_standards(grid, 38)
+    measured = {}
+    for name in ("measured_short", "measured_open", "measured_load"):
+        values = getattr(standards, name).values.copy()
+        values[[first, second]] = 0.3  # all three measurements coincide there
+        measured[name] = ComplexTrace(grid=grid, values=values)
+    singular = StandardsSet(
+        defined_short=standards.defined_short,
+        defined_open=standards.defined_open,
+        defined_load=standards.defined_load,
+        **measured,
+    )
+    f = grid.frequencies[first]
+    with pytest.raises(CalibrationError, match=f"^singular standards system at {re.escape(f'{f:.6g}')} Hz$"):
+        solve_error_model(singular)
